@@ -77,12 +77,21 @@ class SpaceDescription:
 
 
 def _need(doc: dict, key: str, where: str = "document"):
+    if not isinstance(doc, dict):
+        raise InputError(f"{where} must be a JSON object")
     if key not in doc:
         raise InputError(f"missing key {key!r} in {where}")
     return doc[key]
 
 
+def _names(value, where: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise InputError(f"{where} must be a list of names (strings)")
+    return value
+
+
 def _resolve_names(names: Sequence[str], table: dict[str, int], where: str) -> list[int]:
+    _names(names, where)
     out = []
     for name in names:
         if name not in table:
@@ -94,8 +103,8 @@ def _resolve_names(names: Sequence[str], table: dict[str, int], where: str) -> l
 def parse_space(doc: dict) -> SpaceDescription:
     if not isinstance(doc, dict):
         raise InputError("top-level JSON value must be an object")
-    universe = tuple(_need(doc, "universe"))
-    params = tuple(_need(doc, "params"))
+    universe = tuple(_names(_need(doc, "universe"), "'universe'"))
+    params = tuple(_names(_need(doc, "params"), "'params'"))
     if len(set(universe)) != len(universe) or not universe:
         raise InputError("universe names must be nonempty and distinct")
     if len(set(params)) != len(params) or not params:
@@ -127,6 +136,7 @@ def parse_space(doc: dict) -> SpaceDescription:
             raise InputError("'representability' must be a nonempty list of elements")
         resolved = []
         for j, elem in enumerate(rep):
+            _names(elem, f"representability[{j}]")
             if len(elem) != len(params):
                 raise InputError(
                     f"representability element {j} needs one value per parameter"
@@ -149,7 +159,11 @@ def _parse_topology(
 ) -> SoftTopology:
     where = f"topologies[{which}]"
     n = soft_set.universe_size
+    if not isinstance(td, dict):
+        raise InputError(f"{where} must be a JSON object")
     if "opens" in td:
+        if not isinstance(td["opens"], list):
+            raise InputError(f"{where}.opens must be a list")
         opens = []
         for k, open_doc in enumerate(td["opens"]):
             sections = []
@@ -164,14 +178,19 @@ def _parse_topology(
         return SoftTopology.build(opens, soft_set)
     if td.get("generate") == "canonical":
         subbases = _need(td, "subbases", where)
+        if not isinstance(subbases, dict):
+            raise InputError(f"{where}.subbases must be a JSON object")
         sigmas = []
         for t, p in enumerate(params):
             carrier = soft_set.section(t)
+            members = subbases.get(p, [])
+            if not isinstance(members, list):
+                raise InputError(f"{where}.subbases[{p}] must be a list")
             subbase = [
                 FinSet.of(
                     _resolve_names(s, elem_idx, f"{where}.subbases[{p}]"), n
                 )
-                for s in subbases.get(p, [])
+                for s in members
             ]
             sigmas.append(generate_topology(subbase, n, carrier=carrier))
         return canonical_topology(soft_set, sigmas)
@@ -396,9 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument(
-            "--seed", type=int, default=0, help="seed for randomized runs"
-        )
 
     p_check = sub.add_parser("check", help="run all deciders on a space")
     p_check.add_argument("input", nargs="?", help="JSON file ('-' for stdin)")

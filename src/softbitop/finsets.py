@@ -9,7 +9,9 @@ require; the plain case is carrier == full universe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
@@ -154,6 +156,36 @@ class ClassicalTopology:
     def open_masks(self) -> tuple[int, ...]:
         return tuple(o.mask for o in self.opens)
 
+    @cached_property
+    def minimal_members(self) -> tuple[tuple[int, ...], ...]:
+        """For each point x of the universe, the inclusion-minimal members
+        that contain x, as masks.
+
+        A topology has exactly one, the least open set U(x) (a finite
+        space is Alexandroff).  A family that is not intersection-closed,
+        such as an induced family, can have several, and a point that lies
+        in no member has none.  When the meet of the members around x is a
+        member, it is the only minimal one.  Otherwise members are visited
+        by size, so a member is minimal iff no minimal member found before
+        it is a subset of it.
+        """
+        masks = set(self.open_masks)
+        by_size = sorted(masks, key=lambda m: (m.bit_count(), m))
+        out = []
+        for x in range(self.universe_size):
+            bit = 1 << x
+            around = [m for m in by_size if m & bit]
+            meet = reduce(and_, around, -1)
+            if meet in masks:
+                out.append((meet,))
+                continue
+            mins: list[int] = []
+            for m in around:
+                if all(k & ~m for k in mins):
+                    mins.append(m)
+            out.append(tuple(mins))
+        return tuple(out)
+
 
 def _canonical_opens(opens: Iterable[FinSet], n: int) -> tuple[FinSet, ...]:
     masks = sorted(set(_collect_masks(opens, n)))
@@ -256,48 +288,75 @@ class BitopPair:
 Witness = Optional[tuple[int, int]]
 
 
+# The deciders below test least neighbourhoods instead of scanning pairs of
+# opens.  Each member containing x contains an inclusion-minimal one that
+# contains x, and shrinking a member keeps it missing y and keeps it
+# disjoint from another.  So an open that separates x from y exists iff a
+# minimal one does.  The argument uses only finiteness, so the verdicts are
+# exact for any finite families, not just topologies.  Points are scanned
+# in the same order as by a brute-force scan, so the least witness is the
+# same.  Each pair of points costs O(m1 * m2), where mi counts the minimal
+# members at the two points (1 for a topology), not O(|first| * |second|).
+
+
+def _misses(members: tuple[int, ...], y: int) -> bool:
+    return any(not m >> y & 1 for m in members)
+
+
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
     """Distinct points are told apart by some open of either topology.
 
-    On failure the least unseparated pair (x, y), x < y, is returned.
+    Decided as: some minimal member of either family at x misses y, or
+    some minimal member of either family at y misses x.  Exact for any
+    finite families (see above).  On failure the least unseparated pair
+    (x, y), x < y, is returned.
     """
     pts = pair.carrier.members()
-    masks = sorted(set(pair.first.open_masks) | set(pair.second.open_masks))
+    first, second = pair.first.minimal_members, pair.second.minimal_members
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
-            if not any((m >> x & 1) != (m >> y & 1) for m in masks):
+            if not (
+                _misses(first[x], y)
+                or _misses(second[x], y)
+                or _misses(first[y], x)
+                or _misses(second[y], x)
+            ):
                 return False, (x, y)
     return True, None
 
 
 def pairwise_t1(pair: BitopPair) -> tuple[bool, Witness]:
     """For every ordered (x, y): some first-open keeps x and drops y, and
-    some second-open keeps y and drops x."""
+    some second-open keeps y and drops x.
+
+    Decided as: some minimal first-member at x misses y, and some minimal
+    second-member at y misses x.  Exact for any finite families.
+    """
     pts = pair.carrier.members()
-    fm, sm = pair.first.open_masks, pair.second.open_masks
+    first, second = pair.first.minimal_members, pair.second.minimal_members
     for x in pts:
         for y in pts:
             if x == y:
                 continue
-            ok1 = any(m >> x & 1 and not m >> y & 1 for m in fm)
-            ok2 = any(m >> y & 1 and not m >> x & 1 for m in sm)
-            if not (ok1 and ok2):
+            if not (_misses(first[x], y) and _misses(second[y], x)):
                 return False, (x, y)
     return True, None
 
 
 def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
     """For every ordered (x, y): disjoint opens H in the first and K in the
-    second topology with x in H, y in K."""
+    second topology with x in H, y in K.
+
+    Decided as: some minimal first-member h at x and some minimal
+    second-member k at y have h & k == 0.  Exact for any finite families.
+    """
     pts = pair.carrier.members()
-    fm, sm = pair.first.open_masks, pair.second.open_masks
+    first, second = pair.first.minimal_members, pair.second.minimal_members
     for x in pts:
         for y in pts:
             if x == y:
                 continue
-            if not any(
-                h >> x & 1 and k >> y & 1 and h & k == 0 for h in fm for k in sm
-            ):
+            if not any(h & k == 0 for h in first[x] for k in second[y]):
                 return False, (x, y)
     return True, None
 

@@ -5,13 +5,14 @@ an exhaustive counterexample search on small carriers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
 from .finsets import (
     BitopPair,
+    ClassicalTopology,
     FinSet,
     enumerate_topologies,
     pairwise_t0,
@@ -20,7 +21,6 @@ from .finsets import (
 )
 from .softsets import ElementSpace, SoftElement, SoftSet, soft_subset, soft_union
 from .softtop import (
-    SEFamily,
     SoftTopology,
     canonical_enlargement,
     canonical_topology,
@@ -28,6 +28,7 @@ from .softtop import (
     component_topology,
     induced_topology,
     is_canonical,
+    reconstruct,
 )
 
 SEARCH_MAX_UNIVERSE = 3
@@ -70,19 +71,37 @@ class SoftBitopSpace:
         return tuple(by_key[k] for k in sorted(by_key))
 
 
-def elem_in_soft(a: SoftElement, h: SoftSet) -> bool:
-    """Sectionwise membership: a(t) in h(t) for every t."""
-    return all(x in s for x, s in zip(a, h.sections))
+# The soft deciders test least soft opens (SoftTopology.least_opens)
+# instead of scanning pairs of opens.  An open around a that misses b, or
+# two soft-disjoint opens around a and b, exist iff N(a), the least open
+# around a, does the same: every open around a contains N(a).  Soft
+# elements are scanned in the same order as by a brute-force scan, so the
+# least witness is the same.  Each pair costs O(p) after the least opens
+# are built once per topology.
+
+
+def _inside(b: SoftElement, key: tuple[int, ...]) -> bool:
+    """Sectionwise membership of b in the soft set with section masks key."""
+    return all(m >> x & 1 for m, x in zip(key, b))
 
 
 def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     """Some open of either topology contains exactly one of any two
-    distinct soft elements."""
+    distinct soft elements.
+
+    Decided as: b lies outside N1(a) or N2(a), or a lies outside N1(b) or
+    N2(b); that is, one of them misses the sectionwise meet of the two
+    least opens around the other.  Exact for any finite families.
+    """
     elems = space.space.elements
-    opens = space.union_opens
+    both = [
+        tuple(u & v for u, v in zip(h, k))
+        for h, k in zip(space.tau1.least_opens, space.tau2.least_opens)
+    ]
     for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            if not any(elem_in_soft(a, h) != elem_in_soft(b, h) for h in opens):
+        for j in range(i + 1, len(elems)):
+            b = elems[j]
+            if _inside(b, both[i]) and _inside(a, both[j]):
                 return Verdict(False, (a, b), "least unseparated pair")
     return Verdict(True)
 
@@ -91,25 +110,23 @@ def pairwise_soft_t1(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
     """Each ordered pair (a, b) is split by an open of the first topology
     around a and one of the second around b.
 
+    Decided as: b is not in N1(a) and a is not in N2(b).  Exact for any
+    finite families.
+
     ordered=False weakens the quantifier to "some order of the pair
     works" (an experimental variant, not used by the theorem harness).
     """
     elems = space.space.elements
+    n1, n2 = space.tau1.least_opens, space.tau2.least_opens
 
-    def split(a: SoftElement, b: SoftElement) -> bool:
-        ok1 = any(
-            elem_in_soft(a, h) and not elem_in_soft(b, h) for h in space.tau1.opens
-        )
-        ok2 = any(
-            elem_in_soft(b, k) and not elem_in_soft(a, k) for k in space.tau2.opens
-        )
-        return ok1 and ok2
+    def split(i: int, j: int) -> bool:
+        return not _inside(elems[j], n1[i]) and not _inside(elems[i], n2[j])
 
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             if i == j or (not ordered and j < i):
                 continue
-            if not (split(a, b) or (not ordered and split(b, a))):
+            if not (split(i, j) or (not ordered and split(j, i))):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
 
@@ -119,25 +136,21 @@ def pairwise_soft_t2(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
     the two topologies in their fixed roles.
 
     Soft disjointness means every section of the intersection is empty.
+    Decided as: N1(a) and N2(b) are disjoint at every parameter.  This
+    needs N(a) to be open, which holds for soft topologies, as they are
+    closed under finite intersections.
     """
     elems = space.space.elements
+    n1, n2 = space.tau1.least_opens, space.tau2.least_opens
 
-    def separate(a: SoftElement, b: SoftElement) -> bool:
-        for h in space.tau1.opens:
-            if not elem_in_soft(a, h):
-                continue
-            for k in space.tau2.opens:
-                if not elem_in_soft(b, k):
-                    continue
-                if all((hs & ks).is_empty for hs, ks in zip(h.sections, k.sections)):
-                    return True
-        return False
+    def separate(i: int, j: int) -> bool:
+        return not any(u & v for u, v in zip(n1[i], n2[j]))
 
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
             if i == j or (not ordered and j < i):
                 continue
-            if not (separate(a, b) or (not ordered and separate(b, a))):
+            if not (separate(i, j) or (not ordered and separate(j, i))):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
 
@@ -390,8 +403,6 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         )
     )
 
-    from .softtop import reconstruct
-
     checks.append(
         TheoremCheck(
             "reconstruction-contains-input",
@@ -534,21 +545,22 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                             "enlarged_opens": len(enlarged),
                         }
                     )
-            induced_cache: dict[int, SEFamily] = {}
+            # Each pool entry's induced family is viewed as a
+            # ClassicalTopology once, so its minimal members are built once.
+            @cache
+            def induced_of(idx: int) -> ClassicalTopology:
+                return induced_topology(pool[idx]).as_classical()
 
-            def induced_of(idx: int) -> SEFamily:
-                if idx not in induced_cache:
-                    induced_cache[idx] = induced_topology(pool[idx])
-                return induced_cache[idx]
+            @cache
+            def descriptor(idx: int) -> list[list[list[int]]]:
+                return _topology_descriptor(pool[idx])
 
             for i, tau1 in enumerate(pool):
                 for j, tau2 in enumerate(pool):
                     sp = SoftBitopSpace(ambient, tau1, tau2)
                     if pairwise_soft_t0(sp).holds:
                         continue
-                    pair = BitopPair(
-                        induced_of(i).as_classical(), induced_of(j).as_classical()
-                    )
+                    pair = BitopPair(induced_of(i), induced_of(j))
                     if pairwise_t2(pair)[0]:
                         class_i.append(
                             {
@@ -556,8 +568,8 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                                 "param_count": p,
                                 "tau1_index": i,
                                 "tau2_index": j,
-                                "tau1_opens": _topology_descriptor(tau1),
-                                "tau2_opens": _topology_descriptor(tau2),
+                                "tau1_opens": descriptor(i),
+                                "tau2_opens": descriptor(j),
                             }
                         )
     return SearchResult(tuple(class_i), tuple(class_ii))

@@ -67,6 +67,27 @@ class SoftTopology:
     def contains(self, h: SoftSet) -> bool:
         return h.key in self._keys
 
+    @cached_property
+    def least_opens(self) -> tuple[tuple[int, ...], ...]:
+        """For each soft element a of the ambient, in ElementSpace order,
+        the soft intersection N(a) of the opens that contain a, given by
+        its section masks (as SoftSet.key).
+
+        Soft membership is sectionwise, so a soft element lies in N(a) iff
+        it lies in every open around a.  A soft topology is closed under
+        finite intersections, so N(a) is itself open: the least open
+        containing a.
+        """
+        keys = [h.key for h in self.opens]
+        out = []
+        for a in ElementSpace(self.ambient).elements:
+            meet = self.ambient.key
+            for key in keys:
+                if all(m >> x & 1 for m, x in zip(key, a)):
+                    meet = tuple(u & v for u, v in zip(meet, key))
+            out.append(meet)
+        return tuple(out)
+
     def __len__(self) -> int:
         return len(self.opens)
 
@@ -147,7 +168,13 @@ class SEFamily:
         return frozenset(self.masks)
 
     def as_classical(self) -> ClassicalTopology:
-        """View over soft-element indices as a plain finite topology."""
+        """View over soft-element indices as a ClassicalTopology.
+
+        The result is union-closed but, for an induced family, not a
+        topology in general: it is not validated and need not be closed
+        under intersections.  The pairwise deciders of `finsets` are exact
+        on it all the same, since they need only a finite family.
+        """
         n = self.space.size
         return ClassicalTopology(
             n, FinSet.full(n), tuple(FinSet(n, m) for m in self.masks)

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from softbitop.cli import main, parse_space
 
@@ -51,6 +55,41 @@ def test_check_canonical_generate(capsys):
     assert "tau1: opens=16 canonical=true" in out
     assert "pairwise-soft-t1: true" in out
     assert "pairwise-soft-t2: false" in out
+
+
+def test_check_16_soft_elements(capsys, tmp_path):
+    """2 points x 4 parameters, both topologies discrete canonical.
+
+    N(a) has section {a(t)} at every t, so N1(a) and N2(b) are soft
+    disjoint iff a and b differ at every parameter: soft T2 fails at the
+    least pair sharing a coordinate.  Every soft subset is open, so the
+    induced family is discrete and every pair derived from it is T2.
+    """
+    params = ["p0", "p1", "p2", "p3"]
+    discrete = {
+        "generate": "canonical",
+        "subbases": {p: [["x0"], ["x1"]] for p in params},
+    }
+    doc = {
+        "universe": ["x0", "x1"],
+        "params": params,
+        "sections": {p: ["x0", "x1"] for p in params},
+        "topologies": [discrete, discrete],
+    }
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "check", str(f))
+    assert code == 0
+    assert out.splitlines() == [
+        "command: check",
+        "tau1: opens=256 canonical=true",
+        "tau2: opens=256 canonical=true",
+        "pairwise-soft-t0: true",
+        "pairwise-soft-t1: true",
+        "pairwise-soft-t2: false witness=(x0,x0,x0,x0)(x0,x0,x0,x1)",
+        *(f"component[{p}]: t0=true t1=true t2=true" for p in params),
+        "induced: t0=true t1=true t2=true",
+    ]
 
 
 def test_check_reads_stdin(capsys, monkeypatch):
@@ -182,6 +221,156 @@ def test_empty_section_exit(capsys, tmp_path):
     f.write_text(json.dumps(doc))
     code, _, err = run_cli(capsys, "check", str(f))
     assert code == 2
+
+
+def indiscrete_doc():
+    return json.loads(open(INDISCRETE).read())
+
+
+def with_opens(value):
+    doc = indiscrete_doc()
+    doc["topologies"][0]["opens"] = value
+    return doc
+
+
+def with_list_name():
+    doc = indiscrete_doc()
+    doc["universe"][0] = ["u0"]
+    return doc
+
+
+def with_representability(value):
+    doc = indiscrete_doc()
+    doc["representability"] = value
+    return doc
+
+
+def with_string_universe():
+    doc = indiscrete_doc()
+    doc["universe"] = "ab"
+    doc["sections"] = {"a1": ["a", "b"], "a2": ["a", "b"]}
+    for topo in doc["topologies"]:
+        topo["opens"] = [{"a1": [], "a2": []}, {"a1": ["a", "b"], "a2": ["a", "b"]}]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        with_opens(5),
+        with_list_name(),
+        with_representability([["u0", "u0"], 7]),
+        with_string_universe(),
+    ],
+    ids=["opens-int", "list-name", "representability-entry", "string-universe"],
+)
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_mistyped_input_exit(capsys, tmp_path, doc, command):
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, str(f))
+    assert code == 2
+    assert err.startswith("input error:")
+    assert out == ""
+
+
+def test_seed_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--seed", "1", INDISCRETE])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2) | st.sampled_from(["", "u0", "a1", "ab"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["u0", "a1", "opens", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def valid_documents(draw):
+    """A well-formed space on up to 3 points and 2 parameters."""
+    universe = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    params = [f"a{t}" for t in range(draw(st.integers(1, 2)))]
+    def subsets(names, min_size=0):
+        return st.lists(
+            st.sampled_from(names), min_size=min_size, max_size=len(names), unique=True
+        )
+
+    sections = {p: draw(subsets(universe, 1)) for p in params}
+    ambient = {p: sections[p] for p in params}
+
+    def topology():
+        if draw(st.booleans()):
+            return {"opens": [{p: [] for p in params}, ambient]}
+        subbases = {
+            p: draw(st.lists(subsets(sections[p]), max_size=2))
+            for p in params
+        }
+        return {"generate": "canonical", "subbases": subbases}
+
+    doc = {
+        "universe": universe,
+        "params": params,
+        "sections": sections,
+        "topologies": [topology(), topology()],
+    }
+    if draw(st.booleans()):
+        element = st.tuples(*(st.sampled_from(sections[p]) for p in params)).map(list)
+        doc["representability"] = draw(st.lists(element, min_size=1, max_size=2))
+    return doc
+
+
+def _paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, path + (index,))
+
+
+@st.composite
+def fuzzed_documents(draw):
+    """A well-formed document with up to three parts replaced by arbitrary
+    JSON or removed."""
+    doc = draw(valid_documents())
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return draw(JSON)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(JSON)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["check", "verify"]), st.booleans(), fuzzed_documents())
+def test_fuzzed_documents_exit_cleanly(command, as_json, doc):
+    argv = [command, "-"] + (["--json"] if as_json else [])
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert command == "verify"
+    if code == 2:
+        assert err.getvalue().startswith("input error:")
+    if code == 3:
+        assert err.getvalue().startswith("capacity error:")
 
 
 # ---------------------------------------------------------------- round trip

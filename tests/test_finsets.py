@@ -209,6 +209,33 @@ def discrete(n):
     return ClassicalTopology.build([FinSet(n, m) for m in range(1 << n)], n)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_minimal_members_of_a_topology_is_the_least_open(n):
+    for top in enumerate_topologies(n):
+        for x in range(n):
+            least = (1 << n) - 1
+            for m in top.open_masks:
+                if m >> x & 1:
+                    least &= m
+            assert top.minimal_members[x] == (least,)
+
+
+def test_minimal_members_of_an_arbitrary_family():
+    family = ClassicalTopology(
+        3, FinSet.full(3), tuple(FinSet(3, m) for m in (0b011, 0b101, 0b111, 0b001))
+    )
+    # 0b001 lies below both 0b011 and 0b101; point 2 lies only in 0b101
+    # and 0b111
+    assert family.minimal_members == ((0b001,), (0b011,), (0b101,))
+    family = ClassicalTopology(
+        3, FinSet.full(3), tuple(FinSet(3, m) for m in (0b011, 0b101))
+    )
+    # no member around 0 is least; point 1 lies in one member only
+    assert family.minimal_members == ((0b011, 0b101), (0b011,), (0b101,))
+    lonely = ClassicalTopology(2, FinSet.full(2), (FinSet(2, 0b01),))
+    assert lonely.minimal_members == ((0b01,), ())
+
+
 def test_pairwise_t0_indiscrete_pair():
     pair = BitopPair(indiscrete(2), indiscrete(2))
     holds, witness = pairwise_t0(pair)

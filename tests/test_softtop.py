@@ -201,6 +201,28 @@ def test_induced_union_closed_not_intersection_closed():
     assert 0b0011 not in masks
 
 
+def test_induced_minimal_members_of_soft_indiscrete():
+    fam = induced_topology(soft_indiscrete(SQUARE)).as_classical()
+    # around (0,0): the diagonal {(0,0),(1,1)} and {(0,0),(0,1),(1,0)};
+    # their intersection {(0,0)} is not a member
+    assert fam.minimal_members[0] == (0b1001, 0b0111)
+
+
+def test_least_opens_are_least():
+    rng = rng_for("least-opens")
+    for _ in range(100):
+        ambient = random_carrier(rng)
+        if any(s.is_empty for s in ambient.sections):
+            continue
+        tau = random_soft_topology(rng, ambient)
+        elements = ElementSpace(ambient).elements
+        assert len(tau.least_opens) == len(elements)
+        for a, least in zip(elements, tau.least_opens):
+            around = [h.key for h in tau.opens if all(x in s for x, s in zip(a, h.sections))]
+            assert least in around
+            assert all(u & ~v == 0 for key in around for u, v in zip(least, key))
+
+
 def test_induced_union_closed_randomized():
     rng = rng_for("induced-union")
     for _ in range(60):
