@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
@@ -361,30 +360,49 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
     return True, None
 
 
+def _min_cover(masks: Sequence[int], target: int) -> Optional[tuple[int, ...]]:
+    """The least subfamily (by size, then lexicographically by index) whose
+    masks cover target, or None.  Each size is searched depth first in index
+    order, so the first hit is the one `combinations` order gives.  A branch
+    stops when the members from i on (suffix[i]) cannot cover what is left;
+    a member adding no uncovered point is skipped, as no least cover has one.
+    """
+    n = len(masks)
+    suffix = [0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] | masks[i] & target
+
+    def search(start: int, left: int, uncovered: int) -> Optional[tuple[int, ...]]:
+        if not uncovered:
+            return ()
+        for i in range(start, n - left + 1):
+            if not left or uncovered & ~suffix[i]:
+                return None
+            if masks[i] & uncovered:
+                rest = search(i + 1, left - 1, uncovered & ~masks[i])
+                if rest is not None:
+                    return (i, *rest)
+        return None
+
+    for k in range(n + 1):
+        hit = search(0, k, target)
+        if hit is not None:
+            return hit
+    return None
+
+
 def minimal_subcover_indices(
     cover: Sequence[FinSet], target: FinSet
 ) -> tuple[int, ...]:
     """Indices of a minimum-cardinality subfamily whose union covers target;
-    ties go to the lexicographically least index set."""
-    union = 0
+    ties go to the lexicographically least index set (via `_min_cover`)."""
     for s in cover:
         if s.universe_size != target.universe_size:
             raise InputError("mismatched universe sizes in cover")
-        union |= s.mask
-    if target.mask & ~union:
+    found = _min_cover([s.mask for s in cover], target.mask)
+    if found is None:
         raise NotACoverError("cover does not cover the target")
-    for k in range(len(cover) + 1):
-        for combo in combinations(range(len(cover)), k):
-            if target.mask & ~_union_of(cover, combo) == 0:
-                return combo
-    raise AssertionError("unreachable: full cover always works")
-
-
-def _union_of(cover: Sequence[FinSet], indices: Iterable[int]) -> int:
-    u = 0
-    for i in indices:
-        u |= cover[i].mask
-    return u
+    return found
 
 
 def minimal_subcover(cover: Sequence[FinSet], target: FinSet) -> tuple[FinSet, ...]:

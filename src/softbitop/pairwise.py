@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
@@ -14,6 +14,7 @@ from .finsets import (
     BitopPair,
     ClassicalTopology,
     FinSet,
+    _min_cover,
     enumerate_topologies,
     pairwise_t0,
     pairwise_t1,
@@ -217,31 +218,20 @@ def find_finite_subcover(cover: SoftCover) -> tuple[tuple[SoftSet, str], ...]:
     lexicographically least index set on ties.
 
     Always succeeds on a finite parameter set: per-parameter finite
-    subcovers exist and their union bounds the search.
+    subcovers exist and their union bounds the search.  Delegates to
+    `_min_cover`, section t of each soft set shifted by t * universe_size.
     """
     verdict = is_pairwise_soft_cover(cover)
     if not verdict.holds:
         raise NotACoverError(f"not a pairwise soft cover: {verdict.detail}")
-    members = cover.members
-    target = cover.target
-    p = target.param_count
-    section_masks = [[m.section(t).mask for m, _ in members] for t in range(p)]
-    target_masks = [target.section(t).mask for t in range(p)]
+    n = cover.target.universe_size
 
-    def covers(indices: Sequence[int]) -> bool:
-        for t in range(p):
-            u = 0
-            for i in indices:
-                u |= section_masks[t][i]
-            if target_masks[t] & ~u:
-                return False
-        return True
+    def flat(h: SoftSet) -> int:
+        return sum(s.mask << (t * n) for t, s in enumerate(h.sections))
 
-    for k in range(len(members) + 1):
-        for combo in combinations(range(len(members)), k):
-            if covers(combo):
-                return tuple(members[i] for i in combo)
-    raise AssertionError("unreachable: the full family covers")
+    found = _min_cover([flat(m) for m, _ in cover.members], flat(cover.target))
+    assert found is not None, "the full family covers"
+    return tuple(cover.members[i] for i in found)
 
 
 @dataclass(frozen=True)
@@ -318,7 +308,10 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         j: all(dec(bp)[0] for bp in comp_pairs)
         for j, dec in ((0, pairwise_t0), (1, pairwise_t1), (2, pairwise_t2))
     }
-    ind_pair = induced_bitop(space)
+    ind1 = induced_topology(space.tau1, space.space)
+    ind2 = induced_topology(space.tau2, space.space)
+    # One view each, so both uses below share its cached minimal members.
+    ind_pair = BitopPair(ind1.as_classical(), ind2.as_classical())
     ind = {
         0: pairwise_t0(ind_pair)[0],
         1: pairwise_t1(ind_pair)[0],
@@ -356,15 +349,14 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         )
         implication(f"soft-t{j}-implies-induced-t{j}", soft[j].holds, ind[j])
 
-    ind1 = induced_topology(space.tau1, space.space)
-    ind2 = induced_topology(space.tau2, space.space)
-
-    def union_closed(fam) -> bool:
-        masks = set(fam.masks)
-        full = (1 << space.space.size) - 1
-        if 0 not in masks or full not in masks:
+    def union_closed(view: ClassicalTopology) -> bool:
+        # Exact for a finite family: each member b is the union of the
+        # minimal members inside it, so a | b is a chain of a | m steps.
+        masks = set(view.open_masks)
+        if 0 not in masks or view.carrier.mask not in masks:
             return False
-        return all(a | b in masks for a in masks for b in masks)
+        mins = {m for at_x in view.minimal_members for m in at_x}
+        return all(a | m in masks for a in masks for m in mins)
 
     # Only union closure is a theorem here: the induced family need not
     # be intersection-closed.
@@ -372,7 +364,7 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         TheoremCheck(
             "induced-families-union-closed",
             True,
-            union_closed(ind1) and union_closed(ind2),
+            union_closed(ind_pair.first) and union_closed(ind_pair.second),
         )
     )
     checks.append(

@@ -9,11 +9,10 @@ the finitely many exceptional labels, decides any sectionwise statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, NotACoverError
-from .finsets import FinSet
+from .finsets import FinSet, _min_cover
 from .pairwise import Verdict
 from .softsets import SoftSet
 
@@ -157,22 +156,6 @@ class SubcoverDecision:
     detail: str
 
 
-def _finite_family_covers(
-    members: Sequence[CofiniteSoftSet], target: CofiniteSoftSet
-) -> bool:
-    labels: set[int] = set(target.exception_labels)
-    for m in members:
-        labels.update(m.exception_labels)
-    generic = max(labels, default=-1) + 1
-    for s in sorted(labels) + [generic]:
-        union = 0
-        for m in members:
-            union |= cf_section(m, s).mask
-        if cf_section(target, s).mask & ~union:
-            return False
-    return True
-
-
 def decide_finite_subcover(
     family: TemplateFamily, target: CofiniteSoftSet
 ) -> SubcoverDecision:
@@ -181,9 +164,9 @@ def decide_finite_subcover(
     Any finite subfamily must cover the cofinitely many generic labels
     using defaults only, so the generic condition is necessary; candidate
     template indices beyond the exceptional labels can be standardized to
-    at most two fresh ones.  The residual finite problem is searched
-    exhaustively, smallest subfamilies (then lexicographically least
-    index sets) first.
+    at most two fresh ones.  The residual finite problem, each candidate
+    flattened across those labels, goes to the shared minimum-cover kernel
+    `_min_cover`: smallest, then lexicographically least, subfamily first.
     """
     _check_sizes(family, target)
     if not cf_is_cover(family, target).holds:
@@ -208,13 +191,19 @@ def decide_finite_subcover(
         generic_union |= m.default_section.mask
     generic_fin = FinSet(family.universe_size, generic_union)
 
-    for k in range(len(candidates) + 1):
-        for combo in combinations(range(len(candidates)), k):
-            chosen = tuple(candidates[i] for i in combo)
-            if _finite_family_covers(chosen, target):
-                return SubcoverDecision(
-                    True, chosen, generic_fin, f"finite subcover of size {k}"
-                )
+    # At any label beyond these every section is its default, so one
+    # generic label past them all stands for the rest.
+    n = family.universe_size
+    flat_labels = [*index_pool, max(index_pool, default=-1) + 1]
+
+    def flat(s: CofiniteSoftSet) -> int:
+        return sum(cf_section(s, t).mask << (i * n) for i, t in enumerate(flat_labels))
+
+    found = _min_cover([flat(c) for c in candidates], flat(target))
+    if found is not None:
+        chosen = tuple(candidates[i] for i in found)
+        detail = f"finite subcover of size {len(chosen)}"
+        return SubcoverDecision(True, chosen, generic_fin, detail)
     return SubcoverDecision(
         False,
         None,

@@ -1,17 +1,40 @@
-"""Brute-force separation deciders, kept as test oracles.
+"""Brute-force deciders and subcover searches, kept as test oracles.
 
 These are the original deciders of `softbitop.finsets` and
 `softbitop.pairwise`, unchanged: each scans every pair of opens for every
 pair of points.  The library decides the same axioms from least open
 neighbourhoods; `test_oracle_equivalence.py` checks that both give the
 same verdict and the same least witness.
+
+The three minimum-subcover searches at the end are likewise the original
+ones, unchanged: each tries every subfamily through
+`itertools.combinations`, smallest first.  The library runs all three
+through one pruned kernel; the same test module checks that both give
+the same subcover, or fail the same way.
 """
 
 from __future__ import annotations
 
-from softbitop.finsets import BitopPair, Witness
-from softbitop.pairwise import SoftBitopSpace, Verdict
+from itertools import combinations
+from typing import Iterable, Sequence
+
+from softbitop.errors import InputError, NotACoverError
+from softbitop.finsets import BitopPair, FinSet, Witness
+from softbitop.pairwise import (
+    SoftBitopSpace,
+    SoftCover,
+    Verdict,
+    is_pairwise_soft_cover,
+)
 from softbitop.softsets import SoftElement, SoftSet
+from softbitop.symbolic import (
+    CofiniteSoftSet,
+    SubcoverDecision,
+    TemplateFamily,
+    _check_sizes,
+    cf_is_cover,
+    cf_section,
+)
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
@@ -131,3 +154,129 @@ def pairwise_soft_t2(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
             if not (separate(a, b) or (not ordered and separate(b, a))):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
+
+
+def minimal_subcover_indices(
+    cover: Sequence[FinSet], target: FinSet
+) -> tuple[int, ...]:
+    """Indices of a minimum-cardinality subfamily whose union covers target;
+    ties go to the lexicographically least index set."""
+    union = 0
+    for s in cover:
+        if s.universe_size != target.universe_size:
+            raise InputError("mismatched universe sizes in cover")
+        union |= s.mask
+    if target.mask & ~union:
+        raise NotACoverError("cover does not cover the target")
+    for k in range(len(cover) + 1):
+        for combo in combinations(range(len(cover)), k):
+            if target.mask & ~_union_of(cover, combo) == 0:
+                return combo
+    raise AssertionError("unreachable: full cover always works")
+
+
+def _union_of(cover: Sequence[FinSet], indices: Iterable[int]) -> int:
+    u = 0
+    for i in indices:
+        u |= cover[i].mask
+    return u
+
+
+def find_finite_subcover(cover: SoftCover) -> tuple[tuple[SoftSet, str], ...]:
+    """A minimum-cardinality subfamily still covering the target,
+    lexicographically least index set on ties.
+
+    Always succeeds on a finite parameter set: per-parameter finite
+    subcovers exist and their union bounds the search.
+    """
+    verdict = is_pairwise_soft_cover(cover)
+    if not verdict.holds:
+        raise NotACoverError(f"not a pairwise soft cover: {verdict.detail}")
+    members = cover.members
+    target = cover.target
+    p = target.param_count
+    section_masks = [[m.section(t).mask for m, _ in members] for t in range(p)]
+    target_masks = [target.section(t).mask for t in range(p)]
+
+    def covers(indices: Sequence[int]) -> bool:
+        for t in range(p):
+            u = 0
+            for i in indices:
+                u |= section_masks[t][i]
+            if target_masks[t] & ~u:
+                return False
+        return True
+
+    for k in range(len(members) + 1):
+        for combo in combinations(range(len(members)), k):
+            if covers(combo):
+                return tuple(members[i] for i in combo)
+    raise AssertionError("unreachable: the full family covers")
+
+
+def _finite_family_covers(
+    members: Sequence[CofiniteSoftSet], target: CofiniteSoftSet
+) -> bool:
+    labels: set[int] = set(target.exception_labels)
+    for m in members:
+        labels.update(m.exception_labels)
+    generic = max(labels, default=-1) + 1
+    for s in sorted(labels) + [generic]:
+        union = 0
+        for m in members:
+            union |= cf_section(m, s).mask
+        if cf_section(target, s).mask & ~union:
+            return False
+    return True
+
+
+def decide_finite_subcover(
+    family: TemplateFamily, target: CofiniteSoftSet
+) -> SubcoverDecision:
+    """Decide whether some finite subfamily covers the target.
+
+    Any finite subfamily must cover the cofinitely many generic labels
+    using defaults only, so the generic condition is necessary; candidate
+    template indices beyond the exceptional labels can be standardized to
+    at most two fresh ones.  The residual finite problem is searched
+    exhaustively, smallest subfamilies (then lexicographically least
+    index sets) first.
+    """
+    _check_sizes(family, target)
+    if not cf_is_cover(family, target).holds:
+        raise NotACoverError("the full family does not cover the target")
+    labels = sorted(set(family.mentioned_labels()) | set(target.exception_labels))
+    fresh = max(labels, default=-1) + 1
+    index_pool = list(labels)
+    if family.template is not None:
+        index_pool += [fresh, fresh + 1]
+
+    candidates: list[CofiniteSoftSet] = [
+        family.template_member(t) for t in index_pool
+    ] if family.template is not None else []
+    candidates += list(family.explicit_members)
+
+    # Generic-label union with every default participating: the best any
+    # finite subfamily can do away from its own indices.
+    generic_union = 0
+    if family.template is not None:
+        generic_union |= family.template[1].mask
+    for m in family.explicit_members:
+        generic_union |= m.default_section.mask
+    generic_fin = FinSet(family.universe_size, generic_union)
+
+    for k in range(len(candidates) + 1):
+        for combo in combinations(range(len(candidates)), k):
+            chosen = tuple(candidates[i] for i in combo)
+            if _finite_family_covers(chosen, target):
+                return SubcoverDecision(
+                    True, chosen, generic_fin, f"finite subcover of size {k}"
+                )
+    return SubcoverDecision(
+        False,
+        None,
+        generic_fin,
+        "at any label beyond a finite index set the union section is "
+        f"{set(generic_fin.members())} and does not cover the target default "
+        f"{set(target.default_section.members())}",
+    )

@@ -57,28 +57,33 @@ def test_check_canonical_generate(capsys):
     assert "pairwise-soft-t2: false" in out
 
 
-def test_check_16_soft_elements(capsys, tmp_path):
-    """2 points x 4 parameters, both topologies discrete canonical.
+SIXTEEN_PARAMS = ["p0", "p1", "p2", "p3"]
 
-    N(a) has section {a(t)} at every t, so N1(a) and N2(b) are soft
-    disjoint iff a and b differ at every parameter: soft T2 fails at the
-    least pair sharing a coordinate.  Every soft subset is open, so the
-    induced family is discrete and every pair derived from it is T2.
-    """
-    params = ["p0", "p1", "p2", "p3"]
+
+def write_16_soft_element_space(tmp_path):
+    """2 points x 4 parameters, both topologies discrete canonical."""
     discrete = {
         "generate": "canonical",
-        "subbases": {p: [["x0"], ["x1"]] for p in params},
+        "subbases": {p: [["x0"], ["x1"]] for p in SIXTEEN_PARAMS},
     }
     doc = {
         "universe": ["x0", "x1"],
-        "params": params,
-        "sections": {p: ["x0", "x1"] for p in params},
+        "params": SIXTEEN_PARAMS,
+        "sections": {p: ["x0", "x1"] for p in SIXTEEN_PARAMS},
         "topologies": [discrete, discrete],
     }
     f = tmp_path / "space.json"
     f.write_text(json.dumps(doc))
-    code, out, _ = run_cli(capsys, "check", str(f))
+    return str(f)
+
+
+def test_check_16_soft_elements(capsys, tmp_path):
+    """N(a) has section {a(t)} at every t, so N1(a) and N2(b) are soft
+    disjoint iff a and b differ at every parameter: soft T2 fails at the
+    least pair sharing a coordinate.  Every soft subset is open, so the
+    induced family is discrete and every pair derived from it is T2.
+    """
+    code, out, _ = run_cli(capsys, "check", write_16_soft_element_space(tmp_path))
     assert code == 0
     assert out.splitlines() == [
         "command: check",
@@ -87,7 +92,7 @@ def test_check_16_soft_elements(capsys, tmp_path):
         "pairwise-soft-t0: true",
         "pairwise-soft-t1: true",
         "pairwise-soft-t2: false witness=(x0,x0,x0,x0)(x0,x0,x0,x1)",
-        *(f"component[{p}]: t0=true t1=true t2=true" for p in params),
+        *(f"component[{p}]: t0=true t1=true t2=true" for p in SIXTEEN_PARAMS),
         "induced: t0=true t1=true t2=true",
     ]
 
@@ -111,6 +116,21 @@ def test_verify_indiscrete_pair_passes(capsys):
     assert "FAIL" not in out
     assert "PASS soft-t1-implies-soft-t0" in out
     assert "N/A  component-t0-implies-soft-t0-on-canonical" in out
+
+
+def test_verify_16_soft_elements(capsys, tmp_path):
+    """The 16-element space is canonical and componentwise pairwise T2
+    but not pairwise soft T2, so exactly the two T2-lift rows fail.  Its
+    induced families have 2^16 members each, so the union-closure check
+    must not try every pair of members."""
+    code, out, _ = run_cli(capsys, "verify", write_16_soft_element_space(tmp_path))
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL component-t2-implies-soft-t2-on-canonical"
+        "  [antecedent=True consequent=False]",
+        "FAIL canonical-componentwise-equivalence-t2  [component=True soft=False]",
+    ]
+    assert "PASS induced-families-union-closed" in out
 
 
 def test_verify_reports_representability(capsys):

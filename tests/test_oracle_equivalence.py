@@ -1,13 +1,17 @@
-"""The neighbourhood deciders against the brute-force oracles.
+"""The neighbourhood deciders and the cover kernel against the
+brute-force oracles.
 
 Each decider must give the same verdict and the same least witness as
 the scan over pairs of opens it replaced (`oracles.py`): exhaustively on
 small topologies and candidate pools, and with hypothesis on arbitrary
-finite families, which need not be topologies.
+finite families, which need not be topologies.  Each of the three
+subcover searches must give the same subcover, or raise the same error,
+as the search over `combinations` it replaced.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -15,16 +19,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_carrier, random_soft_topology, rng_for
+from conftest import (
+    random_carrier,
+    random_nonempty_mask,
+    random_soft_set,
+    random_soft_topology,
+    rng_for,
+)
 from softbitop import (
     BitopPair,
     ClassicalTopology,
+    CofiniteSoftSet,
     FinSet,
+    NotACoverError,
     SoftBitopSpace,
+    SoftCover,
     SoftSet,
+    TemplateFamily,
     canonical_topology,
+    decide_finite_subcover,
     enumerate_topologies,
+    find_finite_subcover,
     induced_topology,
+    minimal_subcover_indices,
     pairwise_soft_t0,
     pairwise_soft_t1,
     pairwise_soft_t2,
@@ -140,3 +157,139 @@ def arbitrary_family_pairs(draw):
 @given(arbitrary_family_pairs())
 def test_classical_deciders_on_arbitrary_families(families):
     assert_classical_agree(*families)
+
+
+# ---------------------------------------------------------------- covers
+
+
+def outcome(search, *args):
+    """What a subcover search returns, or NotACoverError if it raises it."""
+    try:
+        return search(*args)
+    except NotACoverError:
+        return NotACoverError
+
+
+def assert_subcover_agree(fast, slow, *args):
+    result = outcome(fast, *args)
+    assert result == outcome(slow, *args), args
+    return result
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_minimal_subcover_on_all_small_families(n):
+    """Every family of at most 4 masks on n points, against every target."""
+    sets = [FinSet(n, m) for m in range(1 << n)]
+    for size in range(5):
+        for family in product(sets, repeat=size):
+            for target in sets:
+                assert_subcover_agree(
+                    minimal_subcover_indices,
+                    oracles.minimal_subcover_indices,
+                    family,
+                    target,
+                )
+
+
+@st.composite
+def set_cover_instances(draw):
+    """Up to 14 members on up to 8 points.  Empty and repeated members are
+    drawn often; the target is clipped to the members' union half the
+    time, so both covers and non-covers occur."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    mask = st.integers(min_value=0, max_value=(1 << n) - 1)
+    pool = draw(st.lists(mask, min_size=1, max_size=6))
+    members = draw(st.lists(st.sampled_from([0, *pool]), max_size=14))
+    target = draw(mask)
+    if draw(st.booleans()):
+        union = 0
+        for m in members:
+            union |= m
+        target &= union
+    return [FinSet(n, m) for m in members], FinSet(n, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(set_cover_instances())
+def test_minimal_subcover_on_arbitrary_families(instance):
+    assert_subcover_agree(
+        minimal_subcover_indices, oracles.minimal_subcover_indices, *instance
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_find_finite_subcover_on_soft_covers(n):
+    """Tagged covers on carriers of n points and 2 parameters: members
+    drawn from the opens of either topology (or of both) without the
+    carrier itself, now and then one that is not open where tagged, and a
+    random target."""
+    rng = rng_for(f"oracle-equivalence-soft-cover-{n}")
+    sizes = Counter()
+    for _ in range(150):
+        ambient = SoftSet(
+            tuple(FinSet(n, random_nonempty_mask(rng, n)) for _ in range(2))
+        )
+        tau1 = random_soft_topology(rng, ambient)
+        tau2 = random_soft_topology(rng, ambient)
+        space = SoftBitopSpace(ambient, tau1, tau2)
+        pools = {
+            "tau1": [h for h in tau1.opens if h != ambient],
+            "tau2": [h for h in tau2.opens if h != ambient],
+            "both": [h for h in tau1.opens if h != ambient and tau2.contains(h)],
+        }
+        members = []
+        for _ in range(rng.randint(0, 10)):
+            prov = rng.choice(("tau1", "tau2", "both"))
+            if pools[prov]:
+                members.append((rng.choice(pools[prov]), prov))
+        if rng.random() < 0.1:
+            members.append((random_soft_set(rng, ambient), "tau1"))
+        cover = SoftCover(space, random_soft_set(rng, ambient), tuple(members))
+        found = assert_subcover_agree(
+            find_finite_subcover, oracles.find_finite_subcover, cover
+        )
+        sizes["none" if found is NotACoverError else min(len(found), 2)] += 1
+    assert sizes["none"] and sizes[2], sizes
+
+
+def random_cofinite(rng, n: int) -> CofiniteSoftSet:
+    """A random default with up to two exceptions among labels 0..3."""
+    exceptions = {
+        t: FinSet(n, rng.randint(0, (1 << n) - 1))
+        for t in rng.sample(range(4), rng.randint(0, 2))
+    }
+    return CofiniteSoftSet.make(n, FinSet(n, rng.randint(0, (1 << n) - 1)), exceptions)
+
+
+def test_decide_finite_subcover_on_cofinite_families():
+    """Random template families.  The tally makes sure every kind of
+    answer occurs: not a cover, no finite subcover, and a finite subcover
+    whose witness holds a template member indexed at a fresh label."""
+    rng = rng_for("oracle-equivalence-cofinite")
+    kinds = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        template = None
+        if rng.random() < 0.7:
+            template = tuple(FinSet(n, rng.randint(0, (1 << n) - 1)) for _ in range(2))
+        explicit = tuple(
+            random_cofinite(rng, n)
+            for _ in range(rng.randint(0 if template else 1, 4))
+        )
+        family = TemplateFamily(n, template, explicit)
+        target = random_cofinite(rng, n)
+        decision = assert_subcover_agree(
+            decide_finite_subcover, oracles.decide_finite_subcover, family, target
+        )
+        if decision is NotACoverError:
+            kinds["not a cover"] += 1
+        elif not decision.holds:
+            kinds["no finite subcover"] += 1
+        else:
+            labels = family.mentioned_labels() + target.exception_labels
+            fresh = max(labels, default=-1) + 1
+            at_fresh = any(
+                t >= fresh for m in decision.witness for t in m.exception_labels
+            )
+            kinds["fresh label" if at_fresh else "finite subcover"] += 1
+    assert len(kinds) == 4, kinds
