@@ -197,10 +197,6 @@ def _parse_topology(
     raise InputError(f"{where} needs 'opens' or 'generate: canonical'")
 
 
-def _element_text(desc: SpaceDescription, elem: tuple[int, ...]) -> str:
-    return "(" + ",".join(desc.universe[i] for i in elem) + ")"
-
-
 def _verdict_fields(desc: SpaceDescription, v: Verdict) -> tuple[str, Optional[list]]:
     if v.holds or v.witness is None:
         return str(v.holds).lower(), None

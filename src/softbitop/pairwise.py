@@ -22,6 +22,7 @@ from .finsets import (
 )
 from .softsets import ElementSpace, SoftElement, SoftSet, soft_subset, soft_union
 from .softtop import (
+    SEFamily,
     SoftTopology,
     canonical_enlargement,
     canonical_topology,
@@ -67,9 +68,16 @@ class SoftBitopSpace:
         return ElementSpace(self.soft_set)
 
     @cached_property
-    def union_opens(self) -> tuple[SoftSet, ...]:
-        by_key = {h.key: h for h in self.tau1.opens + self.tau2.opens}
-        return tuple(by_key[k] for k in sorted(by_key))
+    def induced(self) -> tuple[SEFamily, SEFamily]:
+        """The families induced by tau1 and tau2 on the soft elements."""
+        taus = (self.tau1, self.tau2)
+        return tuple(induced_topology(tau, self.space) for tau in taus)
+
+    @cached_property
+    def induced_pair(self) -> BitopPair:
+        """One view of each induced family over soft-element indices, so
+        every decider shares its cached minimal members."""
+        return BitopPair(*(family.as_classical() for family in self.induced))
 
 
 # The soft deciders test least soft opens (SoftTopology.least_opens)
@@ -107,32 +115,23 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     return Verdict(True)
 
 
-def pairwise_soft_t1(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
+def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) is split by an open of the first topology
     around a and one of the second around b.
 
     Decided as: b is not in N1(a) and a is not in N2(b).  Exact for any
     finite families.
-
-    ordered=False weakens the quantifier to "some order of the pair
-    works" (an experimental variant, not used by the theorem harness).
     """
     elems = space.space.elements
     n1, n2 = space.tau1.least_opens, space.tau2.least_opens
-
-    def split(i: int, j: int) -> bool:
-        return not _inside(elems[j], n1[i]) and not _inside(elems[i], n2[j])
-
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if i == j or (not ordered and j < i):
-                continue
-            if not (split(i, j) or (not ordered and split(j, i))):
+            if i != j and (_inside(b, n1[i]) or _inside(a, n2[j])):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
 
 
-def pairwise_soft_t2(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
+def pairwise_soft_t2(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) sits inside soft-disjoint opens drawn from
     the two topologies in their fixed roles.
 
@@ -143,15 +142,9 @@ def pairwise_soft_t2(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
     """
     elems = space.space.elements
     n1, n2 = space.tau1.least_opens, space.tau2.least_opens
-
-    def separate(i: int, j: int) -> bool:
-        return not any(u & v for u, v in zip(n1[i], n2[j]))
-
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if i == j or (not ordered and j < i):
-                continue
-            if not (separate(i, j) or (not ordered and separate(j, i))):
+            if i != j and any(u & v for u, v in zip(n1[i], n2[j])):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
 
@@ -164,9 +157,7 @@ def component_bitop(space: SoftBitopSpace, t: int) -> BitopPair:
 
 def induced_bitop(space: SoftBitopSpace) -> BitopPair:
     """The pair of induced topologies, viewed over soft-element indices."""
-    first = induced_topology(space.tau1, space.space).as_classical()
-    second = induced_topology(space.tau2, space.space).as_classical()
-    return BitopPair(first, second)
+    return space.induced_pair
 
 
 @dataclass(frozen=True)
@@ -308,10 +299,8 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         j: all(dec(bp)[0] for bp in comp_pairs)
         for j, dec in ((0, pairwise_t0), (1, pairwise_t1), (2, pairwise_t2))
     }
-    ind1 = induced_topology(space.tau1, space.space)
-    ind2 = induced_topology(space.tau2, space.space)
-    # One view each, so both uses below share its cached minimal members.
-    ind_pair = BitopPair(ind1.as_classical(), ind2.as_classical())
+    ind1, ind2 = space.induced
+    ind_pair = space.induced_pair
     ind = {
         0: pairwise_t0(ind_pair)[0],
         1: pairwise_t1(ind_pair)[0],
@@ -356,7 +345,7 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         if 0 not in masks or view.carrier.mask not in masks:
             return False
         mins = {m for at_x in view.minimal_members for m in at_x}
-        return all(a | m in masks for a in masks for m in mins)
+        return all(masks.issuperset([a | m for a in masks]) for m in mins)
 
     # Only union closure is a theorem here: the induced family need not
     # be intersection-closed.
@@ -381,9 +370,8 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         can = canonical_enlargement(tau)
         if not all(can.contains(h) for h in tau.opens):
             enlargement_ok = False
-        for t in range(p):
-            if component_topology(can, t).opens != component_topology(tau, t).opens:
-                enlargement_ok = False
+        if can.components != tau.components:
+            enlargement_ok = False
         if induced_topology(can, space.space) != ind_fam:
             enlargement_ok = False
     checks.append(
@@ -525,6 +513,7 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
         for p in range(1, max_params + 1):
             ambient = SoftSet.of([range(n)] * p, n)
             pool = candidate_soft_topologies(n, p)
+            space = ElementSpace(ambient)  # one section table for the pool
             for idx, tau in enumerate(pool):
                 enlarged = canonical_enlargement(tau)
                 if len(enlarged) > len(tau):
@@ -541,7 +530,7 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
             # ClassicalTopology once, so its minimal members are built once.
             @cache
             def induced_of(idx: int) -> ClassicalTopology:
-                return induced_topology(pool[idx]).as_classical()
+                return induced_topology(pool[idx], space).as_classical()
 
             @cache
             def descriptor(idx: int) -> list[list[list[int]]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .finsets import FinSet, pairwise_t1, pairwise_t2
 from .pairwise import SoftBitopSpace, induced_bitop, pairwise_soft_t0
 from .softsets import ElementSpace, SoftSet, is_se_representable
-from .softtop import SoftTopology, induced_topology
+from .softtop import SoftTopology
 from .symbolic import CofiniteSoftSet, TemplateFamily, cf_is_cover, decide_finite_subcover
 
 
@@ -52,7 +52,7 @@ def indiscrete_pair_induced_separation() -> ScenarioOutcome:
     tau = SoftTopology.build([phi, f], f)
     sp = SoftBitopSpace(f, tau, tau)
     t0 = pairwise_soft_t0(sp)
-    ind1 = induced_topology(sp.tau1, sp.space)
+    ind1, _ = sp.induced
     # elements in lex order: (0,0)=0, (0,1)=1, (1,0)=2, (1,1)=3
     diag = (1 << 0) | (1 << 3)
     anti = (1 << 1) | (1 << 2)

@@ -9,6 +9,7 @@ order so subsets of them can be handled as bitmasks over stable indices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Iterable, Optional, Sequence
@@ -18,6 +19,8 @@ from .finsets import FinSet
 
 # Eager materialization guard for the soft-element list.
 SE_MATERIALIZATION_LIMIT = 1 << 20
+# Guard for every table or filtration over all 2^|SE(F)| subsets.
+SE_FILTRATION_LIMIT = 20
 
 SoftElement = tuple[int, ...]
 
@@ -130,6 +133,24 @@ class ElementSpace:
         for e in elems:
             mask |= 1 << self.index_of(e)
         return SESubset(self, mask)
+
+    @cached_property
+    def flat_sections(self) -> tuple[int, ...]:
+        """For every subset mask m, all sections of m packed into one int,
+        section t shifted by t * universe_size.  The table has 2^size
+        entries, so it is refused past SE_FILTRATION_LIMIT.  The masks
+        with top bit i are those below 2^i plus element i's bits."""
+        if self.size > SE_FILTRATION_LIMIT:
+            raise CapacityError(
+                f"soft-element count {self.size} exceeds filtration guard "
+                f"{SE_FILTRATION_LIMIT}"
+            )
+        n = self.soft_set.universe_size
+        flat = [0]
+        for e in self.elements:
+            bits = sum(1 << (t * n + x) for t, x in enumerate(e))
+            flat += [f | bits for f in flat]
+        return tuple(flat)
 
     def full_subset(self) -> "SESubset":
         return SESubset(self, (1 << self.size) - 1)

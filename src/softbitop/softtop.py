@@ -13,7 +13,6 @@ from .errors import CapacityError, InputError
 from .finsets import ClassicalTopology, FinSet, generate_topology, is_topology
 from .softsets import (
     ElementSpace,
-    SESubset,
     SoftSet,
     soft_intersection,
     soft_subset,
@@ -22,8 +21,6 @@ from .softsets import (
 
 # Sectionwise product guard for canonical topologies.
 CANONICAL_PRODUCT_LIMIT = 1 << 20
-# The induced topology filters all 2^|SE(F)| subsets.
-SE_FILTRATION_LIMIT = 20
 
 
 def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
@@ -88,6 +85,16 @@ class SoftTopology:
             out.append(meet)
         return tuple(out)
 
+    @cached_property
+    def components(self) -> tuple[ClassicalTopology, ...]:
+        """The component topologies, each built and validated once."""
+        return tuple(_build_component(self, t) for t in range(self.ambient.param_count))
+
+    @cached_property
+    def enlargement(self) -> "SoftTopology":
+        """The canonical topology built from the component topologies."""
+        return canonical_topology(self.ambient, self.components)
+
     def __len__(self) -> int:
         return len(self.opens)
 
@@ -97,8 +104,7 @@ def _canonical_family(opens: Iterable[SoftSet]) -> tuple[SoftSet, ...]:
     return tuple(by_key[k] for k in sorted(by_key))
 
 
-def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
-    """The family of t-sections of the soft opens: a topology on F(t)."""
+def _build_component(tau: SoftTopology, t: int) -> ClassicalTopology:
     carrier = tau.ambient.section(t)
     n = tau.ambient.universe_size
     sections = {h.section(t).mask for h in tau.opens}
@@ -107,6 +113,12 @@ def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
     # is a bug upstream.
     assert is_topology(topo.opens, n, carrier)
     return topo
+
+
+def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
+    """The family of t-sections of the soft opens: a topology on F(t)."""
+    tau.ambient.section(t)  # rejects an out-of-range parameter
+    return tau.components[t]
 
 
 def canonical_topology(
@@ -132,12 +144,11 @@ def canonical_topology(
 
 def canonical_enlargement(tau: SoftTopology) -> SoftTopology:
     """The canonical topology built from tau's own component topologies."""
-    sigmas = [component_topology(tau, t) for t in range(tau.ambient.param_count)]
-    return canonical_topology(tau.ambient, sigmas)
+    return tau.enlargement
 
 
 def is_canonical(tau: SoftTopology) -> bool:
-    return tau.opens == canonical_enlargement(tau).opens
+    return tau.opens == tau.enlargement.opens
 
 
 @dataclass(eq=False)
@@ -156,9 +167,6 @@ class SEFamily:
 
     def __hash__(self) -> int:
         return hash((self.space.soft_set, self.masks))
-
-    def subsets(self) -> tuple[SESubset, ...]:
-        return tuple(SESubset(self.space, m) for m in self.masks)
 
     def contains_mask(self, mask: int) -> bool:
         return mask in self._mask_set
@@ -195,38 +203,21 @@ def induced_topology(
     generating family.  It contains the empty and full subsets and is
     closed under unions, but it is NOT closed under intersections in
     general: sections of an intersection can be strictly smaller than the
-    intersections of sections.
+    intersections of sections.  The sections of every subset are read
+    from `ElementSpace.flat_sections`, which enforces the filtration guard.
     """
     if space is None:
         space = ElementSpace(tau.ambient)
     elif space.soft_set != tau.ambient:
         raise InputError("element space does not match the topology's ambient")
-    n = space.size
-    if n > SE_FILTRATION_LIMIT:
-        raise CapacityError(
-            f"soft-element count {n} exceeds filtration guard {SE_FILTRATION_LIMIT}"
-        )
-    p = space.soft_set.param_count
-    comp = [set(component_topology(tau, t).open_masks) for t in range(p)]
-    # coordinate bit contributed by element i at parameter t
-    coord = [[1 << e[t] for e in space.elements] for t in range(p)]
-    masks = []
-    for m in range(1 << n):
-        ok = True
-        for t in range(p):
-            sec = 0
-            mm = m
-            ct = coord[t]
-            while mm:
-                i = (mm & -mm).bit_length() - 1
-                sec |= ct[i]
-                mm &= mm - 1
-            if sec not in comp[t]:
-                ok = False
-                break
-        if ok:
-            masks.append(m)
-    return SEFamily(space, tuple(masks))
+    flat = space.flat_sections
+    n = tau.ambient.universe_size
+    full = (1 << n) - 1
+    keep: Iterable[int] = range(len(flat))
+    for t, comp in enumerate(tau.components):
+        opens, shift = set(comp.open_masks), t * n
+        keep = [m for m in keep if flat[m] >> shift & full in opens]
+    return SEFamily(space, tuple(keep))
 
 
 def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> bool:
@@ -238,14 +229,15 @@ def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> boo
     required to satisfy the topology axioms: the induced family itself is
     not intersection-closed in general (sections of an intersection can
     be strictly smaller than intersections of sections), so demanding
-    them would reject the most important candidate.
+    them would reject the most important candidate.  Sections are read
+    from `ElementSpace.flat_sections`, under its filtration guard.
     """
-    p = tau.ambient.param_count
-    comp = [set(component_topology(tau, t).open_masks) for t in range(p)]
-    for sub in candidate.subsets():
-        for t in range(p):
-            if sub.section(t).mask not in comp[t]:
-                return False
+    flat = candidate.space.flat_sections
+    n = tau.ambient.universe_size
+    for t, comp in enumerate(tau.components):
+        sections = {flat[m] >> (t * n) & ((1 << n) - 1) for m in candidate.masks}
+        if not sections <= set(comp.open_masks):
+            return False
     return True
 
 
@@ -272,9 +264,11 @@ def reconstruct(u: SEFamily) -> Reconstruction:
         raise InputError("the soft-element list must be nonempty")
     ambient = space.soft_set
     n = ambient.universe_size
+    full = (1 << n) - 1
+    flat = [space.flat_sections[m] for m in u.masks]
     sigmas = []
     for t in range(ambient.param_count):
-        subbase = [sub.section(t) for sub in u.subsets()]
+        subbase = [FinSet(n, m) for m in {f >> (t * n) & full for f in flat}]
         sigmas.append(generate_topology(subbase, n, carrier=ambient.section(t)))
     tau_hat = canonical_topology(ambient, sigmas)
     induced = induced_topology(tau_hat, space)

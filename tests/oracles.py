@@ -6,11 +6,19 @@ pair of points.  The library decides the same axioms from least open
 neighbourhoods; `test_oracle_equivalence.py` checks that both give the
 same verdict and the same least witness.
 
-The three minimum-subcover searches at the end are likewise the original
-ones, unchanged: each tries every subfamily through
-`itertools.combinations`, smallest first.  The library runs all three
-through one pruned kernel; the same test module checks that both give
-the same subcover, or fail the same way.
+The three minimum-subcover searches are likewise the original ones,
+unchanged: each tries every subfamily through `itertools.combinations`,
+smallest first.  The library runs all three through one pruned kernel;
+the same test module checks that both give the same subcover, or fail
+the same way.
+
+The induced-family paths at the end are the original ones of
+`softbitop.softtop`: the component topology rebuilt from the opens on
+every call, the filtration that collects the sections of each subset bit
+by bit, and the projection check and reconstruction that walk every soft
+element of every member (`SESubset.section`).  The library reads the
+sections from one table per element space (`ElementSpace.flat_sections`)
+and the components from a cache per soft topology.
 """
 
 from __future__ import annotations
@@ -18,15 +26,34 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from softbitop.errors import InputError, NotACoverError
-from softbitop.finsets import BitopPair, FinSet, Witness
+from softbitop.errors import CapacityError, InputError, NotACoverError
+from softbitop.finsets import (
+    BitopPair,
+    ClassicalTopology,
+    FinSet,
+    Witness,
+    generate_topology,
+    is_topology,
+)
 from softbitop.pairwise import (
     SoftBitopSpace,
     SoftCover,
     Verdict,
     is_pairwise_soft_cover,
 )
-from softbitop.softsets import SoftElement, SoftSet
+from softbitop.softsets import (
+    SE_FILTRATION_LIMIT,
+    ElementSpace,
+    SESubset,
+    SoftElement,
+    SoftSet,
+)
+from softbitop.softtop import (
+    Reconstruction,
+    SEFamily,
+    SoftTopology,
+    canonical_topology,
+)
 from softbitop.symbolic import (
     CofiniteSoftSet,
     SubcoverDecision,
@@ -93,7 +120,7 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     """Some open of either topology contains exactly one of any two
     distinct soft elements."""
     elems = space.space.elements
-    opens = space.union_opens
+    opens = space.tau1.opens + space.tau2.opens
     for i, a in enumerate(elems):
         for b in elems[i + 1 :]:
             if not any(elem_in_soft(a, h) != elem_in_soft(b, h) for h in opens):
@@ -101,13 +128,9 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     return Verdict(True)
 
 
-def pairwise_soft_t1(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
+def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) is split by an open of the first topology
-    around a and one of the second around b.
-
-    ordered=False weakens the quantifier to "some order of the pair
-    works" (an experimental variant, not used by the theorem harness).
-    """
+    around a and one of the second around b."""
     elems = space.space.elements
 
     def split(a: SoftElement, b: SoftElement) -> bool:
@@ -121,14 +144,12 @@ def pairwise_soft_t1(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
 
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if i == j or (not ordered and j < i):
-                continue
-            if not (split(a, b) or (not ordered and split(b, a))):
+            if i != j and not split(a, b):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
 
 
-def pairwise_soft_t2(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
+def pairwise_soft_t2(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) sits inside soft-disjoint opens drawn from
     the two topologies in their fixed roles.
 
@@ -149,9 +170,7 @@ def pairwise_soft_t2(space: SoftBitopSpace, ordered: bool = True) -> Verdict:
 
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if i == j or (not ordered and j < i):
-                continue
-            if not (separate(a, b) or (not ordered and separate(b, a))):
+            if i != j and not separate(a, b):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
     return Verdict(True)
 
@@ -280,3 +299,82 @@ def decide_finite_subcover(
         f"{set(generic_fin.members())} and does not cover the target default "
         f"{set(target.default_section.members())}",
     )
+
+
+def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
+    """The family of t-sections of the soft opens: a topology on F(t)."""
+    carrier = tau.ambient.section(t)
+    n = tau.ambient.universe_size
+    sections = {h.section(t).mask for h in tau.opens}
+    topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(sections)))
+    # Sectioning a soft topology always yields a topology; anything else
+    # is a bug upstream.
+    assert is_topology(topo.opens, n, carrier)
+    return topo
+
+
+def induced_topology(tau: SoftTopology, space: ElementSpace | None = None) -> SEFamily:
+    """The family of soft-element subsets whose every section is open in
+    the matching component topology, by exhaustive filtration."""
+    if space is None:
+        space = ElementSpace(tau.ambient)
+    elif space.soft_set != tau.ambient:
+        raise InputError("element space does not match the topology's ambient")
+    n = space.size
+    if n > SE_FILTRATION_LIMIT:
+        raise CapacityError(
+            f"soft-element count {n} exceeds filtration guard {SE_FILTRATION_LIMIT}"
+        )
+    p = space.soft_set.param_count
+    comp = [set(component_topology(tau, t).open_masks) for t in range(p)]
+    # coordinate bit contributed by element i at parameter t
+    coord = [[1 << e[t] for e in space.elements] for t in range(p)]
+    masks = []
+    for m in range(1 << n):
+        ok = True
+        for t in range(p):
+            sec = 0
+            mm = m
+            ct = coord[t]
+            while mm:
+                i = (mm & -mm).bit_length() - 1
+                sec |= ct[i]
+                mm &= mm - 1
+            if sec not in comp[t]:
+                ok = False
+                break
+        if ok:
+            masks.append(m)
+    return SEFamily(space, tuple(masks))
+
+
+def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> bool:
+    """True iff every member of the candidate family has all its sections
+    component-open."""
+    p = tau.ambient.param_count
+    comp = [set(component_topology(tau, t).open_masks) for t in range(p)]
+    for sub in (SESubset(candidate.space, m) for m in candidate.masks):
+        for t in range(p):
+            if sub.section(t).mask not in comp[t]:
+                return False
+    return True
+
+
+def reconstruct(u: SEFamily) -> Reconstruction:
+    """Generate per-parameter topologies from the sections of u, build the
+    canonical soft topology on top, and certify that u is contained in the
+    family it induces back on the soft elements."""
+    space = u.space
+    if space.size == 0:
+        raise InputError("the soft-element list must be nonempty")
+    ambient = space.soft_set
+    n = ambient.universe_size
+    sigmas = []
+    for t in range(ambient.param_count):
+        subbase = [sub.section(t) for sub in (SESubset(space, m) for m in u.masks)]
+        sigmas.append(generate_topology(subbase, n, carrier=ambient.section(t)))
+    tau_hat = canonical_topology(ambient, sigmas)
+    induced = induced_topology(tau_hat, space)
+    contained = all(induced.contains_mask(m) for m in u.masks)
+    assert contained, "reconstruction must contain its input family"
+    return Reconstruction(tuple(sigmas), tau_hat, contained)

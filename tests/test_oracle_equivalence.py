@@ -6,13 +6,17 @@ the scan over pairs of opens it replaced (`oracles.py`): exhaustively on
 small topologies and candidate pools, and with hypothesis on arbitrary
 finite families, which need not be topologies.  Each of the three
 subcover searches must give the same subcover, or raise the same error,
-as the search over `combinations` it replaced.
+as the search over `combinations` it replaced.  The induced family, the
+projection check and the reconstruction read sections from one table per
+element space; each must give what the walk over soft elements it
+replaced gives.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -32,11 +36,14 @@ from softbitop import (
     CofiniteSoftSet,
     FinSet,
     NotACoverError,
+    ElementSpace,
+    SEFamily,
     SoftBitopSpace,
     SoftCover,
     SoftSet,
     TemplateFamily,
     canonical_topology,
+    check_finest_open_projections,
     decide_finite_subcover,
     enumerate_topologies,
     find_finite_subcover,
@@ -48,6 +55,7 @@ from softbitop import (
     pairwise_t0,
     pairwise_t1,
     pairwise_t2,
+    reconstruct,
 )
 from softbitop.pairwise import candidate_soft_topologies
 
@@ -59,17 +67,10 @@ CLASSICAL = (
 
 
 def soft_cases(space):
-    """(fast verdict, oracle verdict) for every soft decider and variant."""
+    """(fast verdict, oracle verdict) for every soft decider."""
     yield pairwise_soft_t0(space), oracles.pairwise_soft_t0(space)
-    for ordered in (True, False):
-        yield (
-            pairwise_soft_t1(space, ordered=ordered),
-            oracles.pairwise_soft_t1(space, ordered=ordered),
-        )
-        yield (
-            pairwise_soft_t2(space, ordered=ordered),
-            oracles.pairwise_soft_t2(space, ordered=ordered),
-        )
+    yield pairwise_soft_t1(space), oracles.pairwise_soft_t1(space)
+    yield pairwise_soft_t2(space), oracles.pairwise_soft_t2(space)
 
 
 def assert_classical_agree(first, second):
@@ -293,3 +294,109 @@ def test_decide_finite_subcover_on_cofinite_families():
             )
             kinds["fresh label" if at_fresh else "finite subcover"] += 1
     assert len(kinds) == 4, kinds
+
+
+# ------------------------------------------------------- induced families
+
+
+def assert_induced_paths_agree(tau, candidates):
+    """The induced family of tau, and the projection check of tau and the
+    reconstruction on each candidate family, against the oracles."""
+    space = candidates[0].space
+    assert induced_topology(tau, space) == oracles.induced_topology(tau, space)
+    for u in candidates:
+        assert check_finest_open_projections(
+            tau, u
+        ) == oracles.check_finest_open_projections(tau, u), u.masks
+        assert reconstruct(u) == oracles.reconstruct(u), u.masks
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
+def test_induced_paths_on_pool(n, p):
+    """Every pool entry, with the induced family of every pool entry as
+    candidate: the projection check says yes and no."""
+    pool = candidate_soft_topologies(n, p)
+    space = ElementSpace(pool[0].ambient)
+    families = [oracles.induced_topology(tau, space) for tau in pool]
+    verdicts = Counter()
+    for tau in pool:
+        assert_induced_paths_agree(tau, families)
+        verdicts.update(check_finest_open_projections(tau, u) for u in families)
+    assert verdicts[True] and verdicts[False], verdicts
+
+
+def random_wide_carrier(rng):
+    """Up to 3 points and 4 parameters, at most 12 soft elements; sections
+    are singletons a third of the time and otherwise random."""
+    while True:
+        n, p = rng.randint(1, 3), rng.randint(1, 4)
+        sections = [
+            1 << rng.randrange(n)
+            if rng.random() < 1 / 3
+            else random_nonempty_mask(rng, n)
+            for _ in range(p)
+        ]
+        ambient = SoftSet(tuple(FinSet(n, m) for m in sections))
+        if ElementSpace(ambient).size <= 12:
+            return ambient
+
+
+def test_induced_paths_on_random_carriers():
+    """Carriers with non-full and singleton sections and up to 4
+    parameters; candidates are the other topology's induced family, a few
+    of its members, and random masks."""
+    rng = rng_for("oracle-equivalence-induced")
+    kinds = Counter()
+    for _ in range(120):
+        ambient = random_wide_carrier(rng)
+        space = ElementSpace(ambient)
+        tau1 = random_soft_topology(rng, ambient)
+        tau2 = random_soft_topology(rng, ambient)
+        other = oracles.induced_topology(tau2, space).masks
+        picks = rng.sample(other, min(3, len(other)))
+        noise = [rng.randrange(1 << space.size) for _ in range(3)]
+        candidates = [
+            SEFamily(space, other),
+            SEFamily(space, tuple(sorted(set(picks)))),
+            SEFamily(space, tuple(sorted(set(picks + noise)))),
+        ]
+        assert_induced_paths_agree(tau1, candidates)
+        full = (1 << ambient.universe_size) - 1
+        kinds["p=4"] += ambient.param_count == 4
+        kinds["singleton"] += any(m.bit_count() == 1 for m in ambient.key)
+        kinds["not full"] += any(m != full for m in ambient.key)
+    assert kinds["p=4"] and kinds["singleton"] and kinds["not full"], kinds
+
+
+@st.composite
+def projection_candidates(draw):
+    """A seeded random soft topology on a carrier of up to 3 points and 3
+    parameters (at most 8 soft elements) and an arbitrary family of
+    soft-element subsets, half the time drawn from its induced family."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    p = draw(st.integers(min_value=1, max_value=3))
+    sections = draw(
+        st.lists(st.integers(1, (1 << n) - 1), min_size=p, max_size=p).filter(
+            lambda ms: prod(m.bit_count() for m in ms) <= 8
+        )
+    )
+    ambient = SoftSet(tuple(FinSet(n, m) for m in sections))
+    space = ElementSpace(ambient)
+    rng = rng_for(f"projection-{draw(st.integers(0, 999))}")
+    tau = random_soft_topology(rng, ambient)
+    if draw(st.booleans()):
+        pool = oracles.induced_topology(tau, space).masks
+        masks = draw(st.lists(st.sampled_from(pool), max_size=8))
+    else:
+        masks = draw(st.lists(st.integers(0, (1 << space.size) - 1), max_size=8))
+    return tau, SEFamily(space, tuple(sorted(set(masks))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_candidates())
+def test_projection_check_on_arbitrary_families(instance):
+    tau, candidate = instance
+    assert check_finest_open_projections(
+        tau, candidate
+    ) == oracles.check_finest_open_projections(tau, candidate)
+    assert reconstruct(candidate) == oracles.reconstruct(candidate)

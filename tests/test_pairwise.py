@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from softbitop import (
     search_counterexamples,
     verify_theorems,
 )
+from softbitop import softtop
 from softbitop.pairwise import candidate_soft_topologies
 
 SQUARE = SoftSet.of([[0, 1], [0, 1]], 2)
@@ -88,19 +90,6 @@ def test_mixed_pair_soft_t0():
     sp = SoftBitopSpace(SQUARE, soft_discrete(SQUARE), soft_indiscrete(SQUARE))
     assert pairwise_soft_t0(sp).holds
     assert not pairwise_soft_t1(sp).holds
-
-
-def test_soft_t1_t2_unordered_variant():
-    # opposite Sierpinski topologies on a single two-point parameter:
-    # (0, 1) is separated in the fixed roles but (1, 0) is not
-    null = SoftSet.null(1, 2)
-    tau1 = SoftTopology.build([null, SoftSet.of([[0]], 2), LINE], LINE)
-    tau2 = SoftTopology.build([null, SoftSet.of([[1]], 2), LINE], LINE)
-    sp = SoftBitopSpace(LINE, tau1, tau2)
-    assert not pairwise_soft_t1(sp, ordered=True).holds
-    assert pairwise_soft_t1(sp, ordered=False).holds
-    assert not pairwise_soft_t2(sp, ordered=True).holds
-    assert pairwise_soft_t2(sp, ordered=False).holds
 
 
 def test_space_requires_matching_ambient():
@@ -262,6 +251,28 @@ def test_verify_theorems_exhaustive_small():
             for c in report.checks:
                 if c.applicable and not c.passed:
                     assert c.name in allowed_failures
+
+
+def test_verify_theorems_builds_each_component_once(monkeypatch):
+    """One component build per soft topology object and parameter: the
+    two topologies, their enlargements and the two reconstructions."""
+    builds = Counter()
+    alive = []
+    build = softtop._build_component
+
+    def counting(tau, t):
+        alive.append(tau)
+        builds[id(tau), t] += 1
+        return build(tau, t)
+
+    monkeypatch.setattr(softtop, "_build_component", counting)
+    indiscrete, sierpinski = enumerate_topologies(2)[:2]
+    tau1 = canonical_topology(SQUARE, [sierpinski, indiscrete])
+    tau2 = soft_discrete(SQUARE)
+    report = verify_theorems(SoftBitopSpace(SQUARE, tau1, tau2))
+    assert all(c.applicable for c in report.checks)
+    assert set(builds.values()) == {1}
+    assert len(builds) == 6 * 2, builds
 
 
 # ---------------------------------------------------------------- search

@@ -1,12 +1,18 @@
+import tracemalloc
+from itertools import product
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from softbitop import (
+    CapacityError,
     ElementSpace,
     FinSet,
     InputError,
     NoSoftElementsError,
+    SESubset,
     SoftSet,
     enumerate_soft_elements,
     is_se_representable,
@@ -16,6 +22,7 @@ from softbitop import (
     soft_subset,
     soft_union,
 )
+from softbitop.softsets import SE_FILTRATION_LIMIT
 
 # Running example: carrier with sections {x1,x2} and {x3,x4} over a
 # four-point universe x1..x4 encoded as 0..3.
@@ -111,6 +118,48 @@ def test_soft_element_count_is_section_product(h):
         for s in h.sections:
             want *= len(s)
         assert len(enumerate_soft_elements(h)) == want
+
+
+# ---------------------------------------------------------------- section table
+
+
+def small_carriers(max_elements):
+    """Every carrier on up to 3 points and up to 4 parameters with at most
+    max_elements soft elements."""
+    for n in range(1, 4):
+        for p in range(1, 5):
+            for masks in product(range(1, 1 << n), repeat=p):
+                if prod(m.bit_count() for m in masks) <= max_elements:
+                    yield SoftSet(tuple(FinSet(n, m) for m in masks))
+
+
+def test_flat_sections_agree_with_section_walk():
+    for carrier in small_carriers(8):
+        space = ElementSpace(carrier)
+        n, p = carrier.universe_size, carrier.param_count
+        flat = space.flat_sections
+        assert len(flat) == 1 << space.size
+        for m, f in enumerate(flat):
+            sub = SESubset(space, m)
+            assert f == sum(sub.section(t).mask << (t * n) for t in range(p)), (
+                carrier.key,
+                m,
+            )
+
+
+def test_flat_sections_guard_refuses_before_allocating():
+    # 3 * 8 = 24 soft elements, past the guard of 20
+    space = ElementSpace(SoftSet.of([range(3), range(8)], 8))
+    assert space.size > SE_FILTRATION_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=f"24 exceeds .* {SE_FILTRATION_LIMIT}$"):
+            space.flat_sections
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a table of 2^24 entries would take over 100 MB
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------- SE subsets

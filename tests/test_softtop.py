@@ -105,6 +105,25 @@ def test_component_topology_on_proper_section():
     assert comp.carrier == FinSet.of([2, 3], 4)
 
 
+def test_components_and_enlargement_are_built_once():
+    tau = canonical_topology(SQUARE, [discrete(2), indiscrete(2)])
+    for t in range(2):
+        assert component_topology(tau, t) is component_topology(tau, t)
+    assert canonical_enlargement(tau) is canonical_enlargement(tau)
+    for t in (-1, 2):
+        with pytest.raises(InputError):
+            component_topology(tau, t)
+
+
+def test_component_of_a_non_topology_is_refused():
+    # Built without validation: the 0-sections {0,1} and {1,2} meet in
+    # {1}, which is no section, so sectioning cannot give a topology.
+    ambient = SoftSet.of([[0, 1, 2]], 3)
+    opens = [SoftSet.of([ms], 3) for ms in ([], [0, 1], [1, 2], [0, 1, 2])]
+    with pytest.raises(AssertionError):
+        component_topology(SoftTopology(ambient, tuple(opens)), 0)
+
+
 # ---------------------------------------------------------------- canonical
 
 
