@@ -11,9 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
+
+if TYPE_CHECKING:
+    from .softtop import SEFamily
 
 # Labeled-topology enumeration is capped here (355 topologies on 4 points).
 ENUMERATION_MAX_POINTS = 4
@@ -157,33 +160,31 @@ class ClassicalTopology:
 
     @cached_property
     def minimal_members(self) -> tuple[tuple[int, ...], ...]:
-        """For each point x of the universe, the inclusion-minimal members
-        that contain x, as masks.
+        """For each point x of the universe, the inclusion-minimal opens
+        that contain x, as masks: the least open U(x) for a point of the
+        carrier, none for a point outside it.
 
-        A topology has exactly one, the least open set U(x) (a finite
-        space is Alexandroff).  A family that is not intersection-closed,
-        such as an induced family, can have several, and a point that lies
-        in no member has none.  When the meet of the members around x is a
-        member, it is the only minimal one.  Otherwise members are visited
-        by size, so a member is minimal iff no minimal member found before
-        it is a subset of it.
+        U(x) is the meet of the opens around x, itself open since a finite
+        topology is closed under finite intersections (a finite space is
+        Alexandroff).
         """
-        masks = set(self.open_masks)
-        by_size = sorted(masks, key=lambda m: (m.bit_count(), m))
+        masks = self.open_masks
         out = []
         for x in range(self.universe_size):
-            bit = 1 << x
-            around = [m for m in by_size if m & bit]
-            meet = reduce(and_, around, -1)
-            if meet in masks:
-                out.append((meet,))
-                continue
-            mins: list[int] = []
-            for m in around:
-                if all(k & ~m for k in mins):
-                    mins.append(m)
-            out.append(tuple(mins))
+            around = [m for m in masks if m >> x & 1]
+            out.append((reduce(and_, around),) if around else ())
         return tuple(out)
+
+    def inside(self, s: int) -> int:
+        """The union of the opens inside the mask s, its interior: the
+        union of the U(x) inside s, since U(x) lies inside every open
+        around x."""
+        out = 0
+        for at_x in self.minimal_members:
+            for u in at_x:
+                if not u & ~s:
+                    out |= u
+        return out
 
 
 def _canonical_opens(opens: Iterable[FinSet], n: int) -> tuple[FinSet, ...]:
@@ -235,7 +236,8 @@ def enumerate_topologies(
     k = len(carrier)
     if k > ENUMERATION_MAX_POINTS:
         raise CapacityError(
-            f"topology enumeration capped at {ENUMERATION_MAX_POINTS} points"
+            f"topology enumeration on {k} carrier points exceeds the cap of "
+            f"{ENUMERATION_MAX_POINTS} points"
         )
     # Proper nonempty subsets of the carrier, ascending by mask.
     middles = [
@@ -264,10 +266,18 @@ def _closed_masks(masks: set[int]) -> bool:
 
 @dataclass(frozen=True)
 class BitopPair:
-    """An ordered pair of topologies on one shared carrier."""
+    """An ordered pair of finite families on one shared carrier.
 
-    first: ClassicalTopology
-    second: ClassicalTopology
+    Each family is a validated `ClassicalTopology` or, for the pair a soft
+    bitopological space induces, an `SEFamily` over soft-element indices,
+    which is union-closed but not a topology in general.  The deciders
+    below read two things of each family and are exact for both kinds:
+    `minimal_members`, the inclusion-minimal members around each point,
+    and `inside(s)`, the union of the members inside the mask s.
+    """
+
+    first: ClassicalTopology | SEFamily
+    second: ClassicalTopology | SEFamily
 
     def __post_init__(self) -> None:
         if self.first.universe_size != self.second.universe_size:
@@ -287,39 +297,42 @@ class BitopPair:
 Witness = Optional[tuple[int, int]]
 
 
-# The deciders below test least neighbourhoods instead of scanning pairs of
-# opens.  Each member containing x contains an inclusion-minimal one that
-# contains x, and shrinking a member keeps it missing y and keeps it
-# disjoint from another.  So an open that separates x from y exists iff a
-# minimal one does.  The argument uses only finiteness, so the verdicts are
-# exact for any finite families, not just topologies.  Points are scanned
-# in the same order as by a brute-force scan, so the least witness is the
-# same.  Each pair of points costs O(m1 * m2), where mi counts the minimal
-# members at the two points (1 for a topology), not O(|first| * |second|).
+# Some member contains x and misses y iff x lies in the union of the
+# members inside the complement of {y}, inside(full - {y}); the complement
+# is taken in the whole universe, as members need not stay in the carrier.
+# Disjoint members H around x and K around y exist iff they exist with H
+# inclusion-minimal, since shrinking H keeps it disjoint from K; and then
+# iff y lies in inside(full - U) of the second family for some minimal U of
+# the first family at x.  Both arguments use only finiteness, so the
+# verdicts are exact for any finite families, not just topologies.  Points
+# are scanned in the same order as by a brute-force scan, so the least
+# witness is the same.  A decider reads inside() once per point, or once
+# per minimal member of the first family for T2, instead of scanning pairs
+# of members.
 
 
-def _misses(members: tuple[int, ...], y: int) -> bool:
-    return any(not m >> y & 1 for m in members)
+def _avoiding(
+    family: ClassicalTopology | SEFamily, pair: BitopPair
+) -> dict[int, int]:
+    """For each carrier point y, the points some member avoiding y holds."""
+    full = _full(pair.universe_size)
+    return {y: family.inside(full ^ 1 << y) for y in pair.carrier.members()}
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
     """Distinct points are told apart by some open of either topology.
 
-    Decided as: some minimal member of either family at x misses y, or
-    some minimal member of either family at y misses x.  Exact for any
-    finite families (see above).  On failure the least unseparated pair
-    (x, y), x < y, is returned.
+    Decided as: x lies in inside(full - {y}) of either family, or y lies in
+    inside(full - {x}) of either family.  Exact for any finite families
+    (see above).  On failure the least unseparated pair (x, y), x < y, is
+    returned.
     """
     pts = pair.carrier.members()
-    first, second = pair.first.minimal_members, pair.second.minimal_members
+    first, second = _avoiding(pair.first, pair), _avoiding(pair.second, pair)
+    apart = {y: first[y] | second[y] for y in pts}
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
-            if not (
-                _misses(first[x], y)
-                or _misses(second[x], y)
-                or _misses(first[y], x)
-                or _misses(second[y], x)
-            ):
+            if not (apart[y] >> x & 1 or apart[x] >> y & 1):
                 return False, (x, y)
     return True, None
 
@@ -328,16 +341,14 @@ def pairwise_t1(pair: BitopPair) -> tuple[bool, Witness]:
     """For every ordered (x, y): some first-open keeps x and drops y, and
     some second-open keeps y and drops x.
 
-    Decided as: some minimal first-member at x misses y, and some minimal
-    second-member at y misses x.  Exact for any finite families.
+    Decided as: x lies in inside(full - {y}) of the first family and y in
+    inside(full - {x}) of the second.  Exact for any finite families.
     """
     pts = pair.carrier.members()
-    first, second = pair.first.minimal_members, pair.second.minimal_members
+    first, second = _avoiding(pair.first, pair), _avoiding(pair.second, pair)
     for x in pts:
         for y in pts:
-            if x == y:
-                continue
-            if not (_misses(first[x], y) and _misses(second[y], x)):
+            if x != y and not (first[y] >> x & 1 and second[x] >> y & 1):
                 return False, (x, y)
     return True, None
 
@@ -346,16 +357,19 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
     """For every ordered (x, y): disjoint opens H in the first and K in the
     second topology with x in H, y in K.
 
-    Decided as: some minimal first-member h at x and some minimal
-    second-member k at y have h & k == 0.  Exact for any finite families.
+    Decided as: y lies in inside(full - U) of the second family for some
+    minimal member U of the first family at x.  The points so reached from
+    x are found once per x.  Exact for any finite families.
     """
     pts = pair.carrier.members()
-    first, second = pair.first.minimal_members, pair.second.minimal_members
+    full = _full(pair.universe_size)
+    second = pair.second
     for x in pts:
+        reach = 0
+        for u in pair.first.minimal_members[x]:
+            reach |= second.inside(full & ~u)
         for y in pts:
-            if x == y:
-                continue
-            if not any(h & k == 0 for h in first[x] for k in second[y]):
+            if x != y and not reach >> y & 1:
                 return False, (x, y)
     return True, None
 

@@ -12,7 +12,6 @@ from typing import Optional, Sequence
 from .errors import CapacityError, InputError, NotACoverError
 from .finsets import (
     BitopPair,
-    ClassicalTopology,
     FinSet,
     _min_cover,
     enumerate_topologies,
@@ -51,21 +50,26 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SoftBitopSpace:
-    """A soft set carrying an ordered pair of soft topologies."""
+    """A soft set carrying an ordered pair of soft topologies.
+
+    space is the soft set's ElementSpace.  It is built here unless one is
+    given, so that many spaces on one soft set can share one.
+    """
 
     soft_set: SoftSet
     tau1: SoftTopology
     tau2: SoftTopology
+    space: ElementSpace = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.tau1.ambient != self.soft_set or self.tau2.ambient != self.soft_set:
             raise InputError("both topologies must live on the given soft set")
         if any(s.is_empty for s in self.soft_set.sections):
             raise InputError("all sections of the carrier must be nonempty")
-
-    @cached_property
-    def space(self) -> ElementSpace:
-        return ElementSpace(self.soft_set)
+        if self.space is None:
+            object.__setattr__(self, "space", ElementSpace(self.soft_set))
+        elif self.space.soft_set != self.soft_set:
+            raise InputError("element space does not match the soft set")
 
     @cached_property
     def induced(self) -> tuple[SEFamily, SEFamily]:
@@ -75,9 +79,9 @@ class SoftBitopSpace:
 
     @cached_property
     def induced_pair(self) -> BitopPair:
-        """One view of each induced family over soft-element indices, so
-        every decider shares its cached minimal members."""
-        return BitopPair(*(family.as_classical() for family in self.induced))
+        """The two induced families as a pair, so every decider shares
+        their cached tables and minimal members."""
+        return BitopPair(*self.induced)
 
 
 # The soft deciders test least soft opens (SoftTopology.least_opens)
@@ -156,7 +160,7 @@ def component_bitop(space: SoftBitopSpace, t: int) -> BitopPair:
 
 
 def induced_bitop(space: SoftBitopSpace) -> BitopPair:
-    """The pair of induced topologies, viewed over soft-element indices."""
+    """The pair of induced families, over soft-element indices."""
     return space.induced_pair
 
 
@@ -338,22 +342,13 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         )
         implication(f"soft-t{j}-implies-induced-t{j}", soft[j].holds, ind[j])
 
-    def union_closed(view: ClassicalTopology) -> bool:
-        # Exact for a finite family: each member b is the union of the
-        # minimal members inside it, so a | b is a chain of a | m steps.
-        masks = set(view.open_masks)
-        if 0 not in masks or view.carrier.mask not in masks:
-            return False
-        mins = {m for at_x in view.minimal_members for m in at_x}
-        return all(masks.issuperset([a | m for a in masks]) for m in mins)
-
     # Only union closure is a theorem here: the induced family need not
     # be intersection-closed.
     checks.append(
         TheoremCheck(
             "induced-families-union-closed",
             True,
-            union_closed(ind_pair.first) and union_closed(ind_pair.second),
+            ind1.union_closed() and ind2.union_closed(),
         )
     )
     checks.append(
@@ -502,8 +497,8 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
     (ii) soft topologies strictly below their canonical enlargement."""
     if max_universe > SEARCH_MAX_UNIVERSE or max_params > SEARCH_MAX_PARAMS:
         raise CapacityError(
-            f"search capped at universe {SEARCH_MAX_UNIVERSE}, "
-            f"params {SEARCH_MAX_PARAMS}"
+            f"search bounds universe {max_universe}, params {max_params} exceed "
+            f"the cap of universe {SEARCH_MAX_UNIVERSE}, params {SEARCH_MAX_PARAMS}"
         )
     if max_universe < 1 or max_params < 1:
         raise InputError("bounds must be positive")
@@ -513,7 +508,7 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
         for p in range(1, max_params + 1):
             ambient = SoftSet.of([range(n)] * p, n)
             pool = candidate_soft_topologies(n, p)
-            space = ElementSpace(ambient)  # one section table for the pool
+            space = ElementSpace(ambient)  # shared by every space of the pool
             for idx, tau in enumerate(pool):
                 enlarged = canonical_enlargement(tau)
                 if len(enlarged) > len(tau):
@@ -526,11 +521,11 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                             "enlarged_opens": len(enlarged),
                         }
                     )
-            # Each pool entry's induced family is viewed as a
-            # ClassicalTopology once, so its minimal members are built once.
+            # Each pool entry's induced family is built once, and with it
+            # its table and minimal members.
             @cache
-            def induced_of(idx: int) -> ClassicalTopology:
-                return induced_topology(pool[idx], space).as_classical()
+            def induced_of(idx: int) -> SEFamily:
+                return induced_topology(pool[idx], space)
 
             @cache
             def descriptor(idx: int) -> list[list[list[int]]]:
@@ -538,7 +533,7 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
 
             for i, tau1 in enumerate(pool):
                 for j, tau2 in enumerate(pool):
-                    sp = SoftBitopSpace(ambient, tau1, tau2)
+                    sp = SoftBitopSpace(ambient, tau1, tau2, space)
                     if pairwise_soft_t0(sp).holds:
                         continue
                     pair = BitopPair(induced_of(i), induced_of(j))

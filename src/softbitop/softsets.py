@@ -25,6 +25,16 @@ SE_FILTRATION_LIMIT = 20
 SoftElement = tuple[int, ...]
 
 
+def check_filtration_guard(size: int) -> None:
+    """Refuse a table over all 2^size subsets of size soft elements past
+    SE_FILTRATION_LIMIT."""
+    if size > SE_FILTRATION_LIMIT:
+        raise CapacityError(
+            f"soft-element count {size} exceeds filtration guard "
+            f"{SE_FILTRATION_LIMIT}"
+        )
+
+
 @dataclass(frozen=True)
 class SoftSet:
     """A parameter-indexed family of sections over a common universe."""
@@ -140,11 +150,7 @@ class ElementSpace:
         section t shifted by t * universe_size.  The table has 2^size
         entries, so it is refused past SE_FILTRATION_LIMIT.  The masks
         with top bit i are those below 2^i plus element i's bits."""
-        if self.size > SE_FILTRATION_LIMIT:
-            raise CapacityError(
-                f"soft-element count {self.size} exceeds filtration guard "
-                f"{SE_FILTRATION_LIMIT}"
-            )
+        check_filtration_guard(self.size)
         n = self.soft_set.universe_size
         flat = [0]
         for e in self.elements:

@@ -3,9 +3,10 @@ they induce on the enumerated soft elements."""
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
@@ -14,6 +15,7 @@ from .finsets import ClassicalTopology, FinSet, generate_topology, is_topology
 from .softsets import (
     ElementSpace,
     SoftSet,
+    check_filtration_guard,
     soft_intersection,
     soft_subset,
     soft_union,
@@ -151,9 +153,37 @@ def is_canonical(tau: SoftTopology) -> bool:
     return tau.opens == tau.enlargement.opens
 
 
+# A subset table holds one cell per subset S of the soft elements, an
+# unsigned int of _CELL bytes, and is worked on packed into one int, cell S
+# at byte S * _CELL, so that each pass over all cells is a few big-int
+# operations.
+_CELL = array("I").itemsize
+
+
+def _cells(packed: int, size: int) -> array:
+    """The 2^size cells of a packed table."""
+    return array("I", packed.to_bytes(_CELL << size, "little"))
+
+
+def _shift_up(packed: int, size: int, i: int) -> int:
+    """The packed table whose cell S holds cell S - {i} of packed if S
+    holds element i, and 0 otherwise.  The cells lacking element i come in
+    runs of 2^i; each run is masked and moved 2^i cells up."""
+    run = _CELL << i
+    lower = (b"\xff" * run + bytes(run)) * (1 << size - i - 1)
+    return (packed & int.from_bytes(lower, "little")) << 8 * run
+
+
 @dataclass(eq=False)
 class SEFamily:
-    """A finite family of soft-element subsets, masks sorted ascending."""
+    """A finite family of soft-element subsets, masks sorted ascending.
+
+    The induced families are of this type.  Such a family is union-closed
+    but not a topology in general, so it does not pose as a
+    `ClassicalTopology`.  It offers the two reads the pairwise deciders of
+    `finsets` need, `minimal_members` and `inside`, both from one table over
+    all subsets of the soft elements.
+    """
 
     space: ElementSpace
     masks: tuple[int, ...]
@@ -175,18 +205,83 @@ class SEFamily:
     def _mask_set(self) -> frozenset[int]:
         return frozenset(self.masks)
 
-    def as_classical(self) -> ClassicalTopology:
-        """View over soft-element indices as a ClassicalTopology.
+    @property
+    def universe_size(self) -> int:
+        return self.space.size
 
-        The result is union-closed but, for an induced family, not a
-        topology in general: it is not validated and need not be closed
-        under intersections.  The pairwise deciders of `finsets` are exact
-        on it all the same, since they need only a finite family.
+    @cached_property
+    def carrier(self) -> FinSet:
+        """All soft elements."""
+        return FinSet.full(self.space.size)
+
+    @property
+    def opens(self) -> tuple[int, ...]:
+        """The members, as masks (`ClassicalTopology.opens` holds FinSets)."""
+        return self.masks
+
+    @cached_property
+    def _packed(self) -> tuple[int, int]:
+        """The members, each in the cell at its own mask, and the subset
+        table, both packed.  The table is their zeta transform over the
+        subset lattice: one pass per soft element i adds cell S - {i} into
+        cell S, so cell S ends as the union of the members inside S.  The
+        table has 2^size cells, so it is refused past SE_FILTRATION_LIMIT.
         """
-        n = self.space.size
-        return ClassicalTopology(
-            n, FinSet.full(n), tuple(FinSet(n, m) for m in self.masks)
-        )
+        size = self.space.size
+        check_filtration_guard(size)
+        cells = array("I", bytes(_CELL << size))
+        for m in self.masks:
+            cells[m] = m
+        members = table = int.from_bytes(cells.tobytes(), "little")
+        for i in range(size):
+            table |= _shift_up(table, size, i)
+        return members, table
+
+    @cached_property
+    def table(self) -> array:
+        """table[S] is the union of the members inside the subset S."""
+        return _cells(self._packed[1], self.space.size)
+
+    def inside(self, s: int) -> int:
+        """The union of the members inside the subset mask s."""
+        return self.table[s]
+
+    @cached_property
+    def minimal_members(self) -> tuple[tuple[int, ...], ...]:
+        """For each soft element x, the inclusion-minimal members that
+        contain x, as masks ordered by (size, mask); none for an element
+        in no member.
+
+        The members strictly inside m are those inside some m - {i}, so
+        their union is strict[m], the OR of table[m - {i}] over i in m,
+        and m is minimal at exactly the elements of m - strict[m].  That
+        difference is taken for all members at once, on packed tables.
+        """
+        size = self.space.size
+        members, table = self._packed
+        strict = 0
+        for i in range(size):
+            strict |= _shift_up(table, size, i)
+        own = _cells(members & ~strict, size)
+        out: list[list[int]] = [[] for _ in range(size)]
+        mins = compress(range(len(own)), own)
+        for m in sorted(mins, key=lambda m: (m.bit_count(), m)):
+            bits = own[m]
+            while bits:
+                out[(bits & -bits).bit_length() - 1].append(m)
+                bits &= bits - 1
+        return tuple(map(tuple, out))
+
+    def union_closed(self) -> bool:
+        """Holds the empty and the full subset and is closed under unions.
+
+        Given the empty subset, closure under unions is the same as
+        holding every table entry: each entry is a union of members, and
+        the union a | b of members is the entry at a | b.
+        """
+        full = (1 << self.space.size) - 1
+        members = self._mask_set
+        return 0 in members and full in members and members.issuperset(self.table)
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -1,11 +1,14 @@
-"""Shared helpers: seeded random instance generators."""
+"""Shared helpers: seeded random instance generators, element spaces of a
+given size, and the large input documents of the CLI tests."""
 
 from __future__ import annotations
 
+import json
 import random
 
 from softbitop import (
     ClassicalTopology,
+    ElementSpace,
     FinSet,
     SoftSet,
     SoftTopology,
@@ -79,3 +82,57 @@ def random_sigma_family(
             subbase.append(FinSet(n, carrier.mask & rng.randint(0, (1 << n) - 1)))
         sigmas.append(generate_topology(subbase, n, carrier=carrier))
     return sigmas
+
+
+def element_space_of_size(n: int) -> ElementSpace:
+    """n soft elements, one per point of a single full section, so that
+    soft element i is the selection (i,)."""
+    return ElementSpace(SoftSet.of([range(n)], n))
+
+
+SIXTEEN_PARAMS = ["p0", "p1", "p2", "p3"]
+
+
+def _write_doc(tmp_path, doc: dict) -> str:
+    f = tmp_path / "space.json"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+def write_16_soft_element_space(tmp_path) -> str:
+    """2 points x 4 parameters, both topologies discrete canonical."""
+    discrete = {
+        "generate": "canonical",
+        "subbases": {p: [["x0"], ["x1"]] for p in SIXTEEN_PARAMS},
+    }
+    doc = {
+        "universe": ["x0", "x1"],
+        "params": SIXTEEN_PARAMS,
+        "sections": {p: ["x0", "x1"] for p in SIXTEEN_PARAMS},
+        "topologies": [discrete, discrete],
+    }
+    return _write_doc(tmp_path, doc)
+
+
+def write_20_soft_element_space(tmp_path) -> str:
+    """5 points x 2 parameters with sections of 5 and 4 points: 20 soft
+    elements, the filtration guard.  Both topologies are canonical from
+    subbases: tau1 has a1 {u0}, {u1,u2} and a2 {u0}; tau2 has a1 {u1},
+    {u3,u4} and a2 {u1,u2}."""
+    universe = ["u0", "u1", "u2", "u3", "u4"]
+    doc = {
+        "universe": universe,
+        "params": ["a1", "a2"],
+        "sections": {"a1": universe, "a2": universe[:4]},
+        "topologies": [
+            {
+                "generate": "canonical",
+                "subbases": {"a1": [["u0"], ["u1", "u2"]], "a2": [["u0"]]},
+            },
+            {
+                "generate": "canonical",
+                "subbases": {"a1": [["u1"], ["u3", "u4"]], "a2": [["u1", "u2"]]},
+            },
+        ],
+    }
+    return _write_doc(tmp_path, doc)

@@ -12,6 +12,12 @@ smallest first.  The library runs all three through one pruned kernel;
 the same test module checks that both give the same subcover, or fail
 the same way.
 
+`as_classical` is the former view of an induced family as a topology
+over soft-element indices, with the former scan for its minimal members
+(members visited by size; a member is minimal at a point iff no minimal
+member found before it is a subset of it).  The library reads both from
+one subset-OR table per family (`SEFamily`).
+
 The induced-family paths at the end are the original ones of
 `softbitop.softtop`: the component topology rebuilt from the opens on
 every call, the filtration that collects the sections of each subset bit
@@ -23,7 +29,10 @@ and the components from a cache per soft topology.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import and_
 from typing import Iterable, Sequence
 
 from softbitop.errors import CapacityError, InputError, NotACoverError
@@ -109,6 +118,63 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
                 return False, (x, y)
     return True, None
 
+
+
+@dataclass(frozen=True)
+class FamilyView:
+    """Any finite family over point indices on a carrier, shaped like a
+    ClassicalTopology for the brute-force deciders above; its members may
+    leave the carrier.  It also answers the two reads of the library's
+    deciders, `minimal_members` and `inside`, by scanning its members."""
+
+    universe_size: int
+    carrier: FinSet
+    opens: tuple[FinSet, ...]
+
+    @property
+    def open_masks(self) -> tuple[int, ...]:
+        return tuple(o.mask for o in self.opens)
+
+    def inside(self, s: int) -> int:
+        """The union of the members inside the mask s."""
+        out = 0
+        for m in self.open_masks:
+            if not m & ~s:
+                out |= m
+        return out
+
+    @cached_property
+    def minimal_members(self) -> tuple[tuple[int, ...], ...]:
+        """For each point, the inclusion-minimal members that contain it."""
+        masks = set(self.open_masks)
+        by_size = sorted(masks, key=lambda m: (m.bit_count(), m))
+        out = []
+        for x in range(self.universe_size):
+            bit = 1 << x
+            around = [m for m in by_size if m & bit]
+            meet = reduce(and_, around, -1)
+            if meet in masks:
+                out.append((meet,))
+                continue
+            mins: list[int] = []
+            for m in around:
+                if all(k & ~m for k in mins):
+                    mins.append(m)
+            out.append(tuple(mins))
+        return tuple(out)
+
+
+def as_classical(family: SEFamily) -> FamilyView:
+    """The family over soft-element indices, on the full carrier."""
+    n = family.space.size
+    return FamilyView(n, FinSet.full(n), tuple(FinSet(n, m) for m in family.masks))
+
+
+def union_closed(family: SEFamily) -> bool:
+    """Holds the empty and the full subset, and a | b for every two members."""
+    masks = set(family.masks)
+    full = (1 << family.space.size) - 1
+    return {0, full} <= masks and all((a | b) in masks for a in masks for b in masks)
 
 
 def elem_in_soft(a: SoftElement, h: SoftSet) -> bool:

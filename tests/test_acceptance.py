@@ -120,7 +120,7 @@ def test_criterion_2_indiscrete_pair_induced_separation():
     fam = induced_topology(sp.tau1, sp.space)
     has_diag = fam.contains_mask(0b1001)  # {(0,0),(1,1)}
     has_anti = fam.contains_mask(0b0110)  # {(0,1),(1,0)}
-    induced_pair = BitopPair(fam.as_classical(), fam.as_classical())
+    induced_pair = BitopPair(fam, fam)
     t1_holds, _ = pairwise_t1(induced_pair)
     t2_holds, t2_witness = pairwise_t2(induced_pair)
     elapsed = time.monotonic() - start

@@ -9,6 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    SIXTEEN_PARAMS,
+    write_16_soft_element_space,
+    write_20_soft_element_space,
+)
 from softbitop.cli import main, parse_space
 
 HERE = pathlib.Path(__file__).parent
@@ -57,26 +62,6 @@ def test_check_canonical_generate(capsys):
     assert "pairwise-soft-t2: false" in out
 
 
-SIXTEEN_PARAMS = ["p0", "p1", "p2", "p3"]
-
-
-def write_16_soft_element_space(tmp_path):
-    """2 points x 4 parameters, both topologies discrete canonical."""
-    discrete = {
-        "generate": "canonical",
-        "subbases": {p: [["x0"], ["x1"]] for p in SIXTEEN_PARAMS},
-    }
-    doc = {
-        "universe": ["x0", "x1"],
-        "params": SIXTEEN_PARAMS,
-        "sections": {p: ["x0", "x1"] for p in SIXTEEN_PARAMS},
-        "topologies": [discrete, discrete],
-    }
-    f = tmp_path / "space.json"
-    f.write_text(json.dumps(doc))
-    return str(f)
-
-
 def test_check_16_soft_elements(capsys, tmp_path):
     """N(a) has section {a(t)} at every t, so N1(a) and N2(b) are soft
     disjoint iff a and b differ at every parameter: soft T2 fails at the
@@ -93,6 +78,28 @@ def test_check_16_soft_elements(capsys, tmp_path):
         "pairwise-soft-t1: true",
         "pairwise-soft-t2: false witness=(x0,x0,x0,x0)(x0,x0,x0,x1)",
         *(f"component[{p}]: t0=true t1=true t2=true" for p in SIXTEEN_PARAMS),
+        "induced: t0=true t1=true t2=true",
+    ]
+
+
+def test_check_20_soft_elements(capsys, tmp_path):
+    """20 soft elements, the filtration guard; each induced family has
+    about 700,000 members.  (u0,u1) and (u0,u2) agree at a1 and differ at
+    a2 only in u1 against u2, which neither component at a2 tells apart,
+    so soft T0 fails there.  Component T0 fails at a1 on u3, u4 and at a2
+    on u1, u2.  The induced pair is pairwise T2 all the same.
+    """
+    code, out, _ = run_cli(capsys, "check", write_20_soft_element_space(tmp_path))
+    assert code == 0
+    assert out.splitlines() == [
+        "command: check",
+        "tau1: opens=15 canonical=true",
+        "tau2: opens=15 canonical=true",
+        "pairwise-soft-t0: false witness=(u0,u1)(u0,u2)",
+        "pairwise-soft-t1: false witness=(u0,u0)(u0,u3)",
+        "pairwise-soft-t2: false witness=(u0,u0)(u0,u1)",
+        "component[a1]: t0=false t1=false t2=false",
+        "component[a2]: t0=false t1=false t2=false",
         "induced: t0=true t1=true t2=true",
     ]
 
@@ -199,9 +206,13 @@ def test_search_deterministic_across_runs(capsys):
 
 
 def test_search_capacity_exit(capsys):
-    code, _, err = run_cli(capsys, "search", "--max-universe", "4")
+    code, out, err = run_cli(capsys, "search", "--max-universe", "4")
     assert code == 3
-    assert "capacity error" in err
+    assert out == ""
+    assert err.startswith(
+        "capacity error: search bounds universe 4, params 2 exceed the cap of "
+        "universe 3, params 2\n"
+    )
 
 
 # ---------------------------------------------------------------- errors

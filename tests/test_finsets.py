@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import element_space_of_size
 from softbitop import (
     BitopPair,
     CapacityError,
@@ -11,6 +12,7 @@ from softbitop import (
     FinSet,
     InputError,
     NotACoverError,
+    SEFamily,
     enumerate_topologies,
     generate_topology,
     is_topology,
@@ -188,7 +190,7 @@ def test_enumerate_topologies_on_carrier():
 
 
 def test_enumerate_topologies_capacity():
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError, match="on 5 carrier points exceeds the cap of 4"):
         enumerate_topologies(5)
 
 
@@ -221,19 +223,28 @@ def test_minimal_members_of_a_topology_is_the_least_open(n):
 
 
 def test_minimal_members_of_an_arbitrary_family():
-    family = ClassicalTopology(
-        3, FinSet.full(3), tuple(FinSet(3, m) for m in (0b011, 0b101, 0b111, 0b001))
-    )
+    space = element_space_of_size(3)
+    family = SEFamily(space, (0b001, 0b011, 0b101, 0b111))
     # 0b001 lies below both 0b011 and 0b101; point 2 lies only in 0b101
     # and 0b111
     assert family.minimal_members == ((0b001,), (0b011,), (0b101,))
-    family = ClassicalTopology(
-        3, FinSet.full(3), tuple(FinSet(3, m) for m in (0b011, 0b101))
-    )
+    family = SEFamily(space, (0b011, 0b101))
     # no member around 0 is least; point 1 lies in one member only
     assert family.minimal_members == ((0b011, 0b101), (0b011,), (0b101,))
-    lonely = ClassicalTopology(2, FinSet.full(2), (FinSet(2, 0b01),))
+    lonely = SEFamily(element_space_of_size(2), (0b01,))
     assert lonely.minimal_members == ((0b01,), ())
+
+
+def test_inside_is_the_union_of_the_members_inside():
+    top = generate_topology([FinSet(3, 0b001), FinSet(3, 0b011)], 3)
+    family = SEFamily(element_space_of_size(3), (0b011, 0b101))
+    for s in range(8):
+        for fam, masks in ((top, top.open_masks), (family, family.masks)):
+            expected = 0
+            for m in masks:
+                if m & ~s == 0:
+                    expected |= m
+            assert fam.inside(s) == expected, (masks, s)
 
 
 def test_pairwise_t0_indiscrete_pair():

@@ -4,7 +4,11 @@ brute-force oracles.
 Each decider must give the same verdict and the same least witness as
 the scan over pairs of opens it replaced (`oracles.py`): exhaustively on
 small topologies and candidate pools, and with hypothesis on arbitrary
-finite families, which need not be topologies.  Each of the three
+finite families, which need not be topologies.  On an induced or
+arbitrary family (`SEFamily`) the scan runs on the former view of the
+family as a topology (`oracles.as_classical`), whose minimal members must
+equal those read from the family's subset table; its union-closure check
+must agree with a test of every pair of members.  Each of the three
 subcover searches must give the same subcover, or raise the same error,
 as the search over `combinations` it replaced.  The induced family, the
 projection check and the reconstruction read sections from one table per
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    element_space_of_size,
     random_carrier,
     random_nonempty_mask,
     random_soft_set,
@@ -32,7 +37,6 @@ from conftest import (
 )
 from softbitop import (
     BitopPair,
-    ClassicalTopology,
     CofiniteSoftSet,
     FinSet,
     NotACoverError,
@@ -89,11 +93,51 @@ def test_classical_deciders_on_all_small_topology_pairs(n, carrier):
             assert_classical_agree(first, second)
 
 
-def test_classical_deciders_on_induced_pairs_of_2x2_pool():
-    induced = [induced_topology(tau).as_classical() for tau in candidate_soft_topologies(2, 2)]
+def assert_family_agree(first, second):
+    """Deciders on a pair of SEFamily objects against the brute-force
+    deciders on the former view of each family as a topology, and each
+    family's minimal members against the former scan."""
+    pair = BitopPair(first, second)
+    views = BitopPair(oracles.as_classical(first), oracles.as_classical(second))
+    for fast, slow in CLASSICAL:
+        assert fast(pair) == slow(views), (fast.__name__, first.masks, second.masks)
+    for family, view in zip((first, second), (views.first, views.second)):
+        assert family.minimal_members == view.minimal_members, family.masks
+
+
+def assert_induced_pairs_of_pool_agree(n, p):
+    pool = candidate_soft_topologies(n, p)
+    space = ElementSpace(pool[0].ambient)
+    induced = [induced_topology(tau, space) for tau in pool]
     for first in induced:
         for second in induced:
-            assert_classical_agree(first, second)
+            assert_family_agree(first, second)
+
+
+def test_classical_deciders_on_induced_pairs_of_2x2_pool():
+    assert_induced_pairs_of_pool_agree(2, 2)
+
+
+def test_classical_deciders_on_induced_pairs_of_3x1_pool():
+    assert_induced_pairs_of_pool_agree(3, 1)
+
+
+def test_classical_deciders_on_induced_pairs_of_random_carriers():
+    """Carriers with non-full and singleton sections, at most 8 soft
+    elements, so the brute-force scan over pairs of members stays small."""
+    rng = rng_for("oracle-equivalence-induced-pairs")
+    verdicts = Counter()
+    for _ in range(60):
+        ambient = random_wide_carrier(rng)
+        space = ElementSpace(ambient)
+        if space.size > 8:
+            continue
+        tau1 = random_soft_topology(rng, ambient)
+        tau2 = random_soft_topology(rng, ambient)
+        first, second = induced_topology(tau1, space), induced_topology(tau2, space)
+        assert_family_agree(first, second)
+        verdicts[pairwise_t2(BitopPair(first, second))[0]] += 1
+    assert verdicts[True] and verdicts[False], verdicts
 
 
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
@@ -139,7 +183,8 @@ def test_soft_deciders_on_random_carriers():
 
 @st.composite
 def arbitrary_family_pairs(draw):
-    """Two arbitrary families of subsets of up to 6 points on one carrier.
+    """Two arbitrary families of subsets of up to 6 points on one carrier,
+    as views (`oracles.FamilyView`).
 
     Members may leave the carrier, miss some of its points entirely, and
     need not be closed under anything.
@@ -148,7 +193,7 @@ def arbitrary_family_pairs(draw):
     carrier = FinSet(n, draw(st.integers(min_value=0, max_value=(1 << n) - 1)))
     masks = st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=10)
     first, second = (
-        ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in draw(masks)))
+        oracles.FamilyView(n, carrier, tuple(FinSet(n, m) for m in draw(masks)))
         for _ in range(2)
     )
     return first, second
@@ -158,6 +203,63 @@ def arbitrary_family_pairs(draw):
 @given(arbitrary_family_pairs())
 def test_classical_deciders_on_arbitrary_families(families):
     assert_classical_agree(*families)
+
+
+@st.composite
+def arbitrary_se_family_pairs(draw):
+    """Two arbitrary families of subsets of up to 6 soft elements."""
+    space = element_space_of_size(draw(st.integers(min_value=1, max_value=6)))
+    masks = st.lists(st.integers(min_value=0, max_value=(1 << space.size) - 1), max_size=10)
+    first, second = (
+        SEFamily(space, tuple(sorted(set(draw(masks))))) for _ in range(2)
+    )
+    return first, second
+
+
+@settings(max_examples=400, deadline=None)
+@given(arbitrary_se_family_pairs())
+def test_family_reads_on_arbitrary_families(families):
+    assert_family_agree(*families)
+
+
+def union_closure(masks, full):
+    closed = {0}
+    for g in (*masks, full):
+        closed |= {g | m for m in closed}
+    return closed
+
+
+@st.composite
+def near_union_closed_families(draw):
+    """A union-closed family on up to 6 soft elements, or one that misses
+    the empty subset, the full subset or a single union of two other
+    members, or an arbitrary family."""
+    space = element_space_of_size(draw(st.integers(min_value=1, max_value=6)))
+    full = (1 << space.size) - 1
+    mask = st.integers(min_value=0, max_value=full)
+    masks = union_closure(draw(st.lists(mask, max_size=5)), full)
+    how = draw(st.sampled_from(["closed", "no empty", "no full", "no union", "any"]))
+    if how == "no empty":
+        masks.discard(0)
+    elif how == "no full":
+        masks.discard(full)
+    elif how == "no union":
+        unions = sorted(
+            u
+            for u in masks - {0, full}
+            if any(a | b == u for a in masks - {u} for b in masks - {u})
+        )
+        if unions:
+            masks.discard(draw(st.sampled_from(unions)))
+    elif how == "any":
+        masks = set(draw(st.lists(mask, max_size=10)))
+    return SEFamily(space, tuple(sorted(masks)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_union_closed_families())
+def test_union_closed_on_arbitrary_families(family):
+    assert family.union_closed() == oracles.union_closed(family)
 
 
 # ---------------------------------------------------------------- covers

@@ -6,6 +6,7 @@ import pytest
 from softbitop import (
     BitopPair,
     CapacityError,
+    ElementSpace,
     FinSet,
     InputError,
     NotACoverError,
@@ -95,6 +96,11 @@ def test_mixed_pair_soft_t0():
 def test_space_requires_matching_ambient():
     with pytest.raises(InputError):
         SoftBitopSpace(LINE, soft_indiscrete(SQUARE), soft_indiscrete(SQUARE))
+    tau = soft_indiscrete(SQUARE)
+    with pytest.raises(InputError):
+        SoftBitopSpace(SQUARE, tau, tau, ElementSpace(LINE))
+    shared = ElementSpace(SQUARE)
+    assert SoftBitopSpace(SQUARE, tau, tau, shared).space is shared
 
 
 # ---------------------------------------------------------------- views
@@ -317,6 +323,24 @@ def test_search_deterministic():
     a = search_counterexamples(2, 2)
     b = search_counterexamples(2, 2)
     assert a == b
+
+
+@pytest.mark.parametrize("bounds, built", [((2, 2), 31), ((3, 1), 37)])
+def test_search_shares_element_spaces(monkeypatch, bounds, built):
+    """One element space per shape (n, p), shared by every pair's space
+    and induced family, plus one per pool topology for its least opens."""
+    shapes = [(n, p) for n in range(1, bounds[0] + 1) for p in range(1, bounds[1] + 1)]
+    assert len(shapes) + sum(len(candidate_soft_topologies(*s)) for s in shapes) == built
+    count = Counter()
+    init = ElementSpace.__init__
+
+    def counting(self, soft_set):
+        count["built"] += 1
+        init(self, soft_set)
+
+    monkeypatch.setattr(ElementSpace, "__init__", counting)
+    search_counterexamples(*bounds)
+    assert count["built"] == built
 
 
 def test_search_capacity_guard():

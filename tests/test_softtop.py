@@ -1,6 +1,7 @@
 import pytest
 
 from softbitop import (
+    CapacityError,
     ClassicalTopology,
     ElementSpace,
     FinSet,
@@ -221,10 +222,27 @@ def test_induced_union_closed_not_intersection_closed():
 
 
 def test_induced_minimal_members_of_soft_indiscrete():
-    fam = induced_topology(soft_indiscrete(SQUARE)).as_classical()
+    fam = induced_topology(soft_indiscrete(SQUARE))
     # around (0,0): the diagonal {(0,0),(1,1)} and {(0,0),(0,1),(1,0)};
     # their intersection {(0,0)} is not a member
     assert fam.minimal_members[0] == (0b1001, 0b0111)
+
+
+def test_union_closed_needs_empty_full_and_every_union():
+    space = ElementSpace(SoftSet.of([[0, 1, 2]], 3))
+    closed = (0, 0b001, 0b010, 0b011, 0b111)
+    assert SEFamily(space, closed).union_closed()
+    # 0b001 | 0b010 is missing, though the empty and full subsets are there
+    assert not SEFamily(space, (0, 0b001, 0b010, 0b111)).union_closed()
+    assert not SEFamily(space, closed[1:]).union_closed()
+    assert not SEFamily(space, closed[:-1]).union_closed()
+    assert induced_topology(soft_indiscrete(SQUARE)).union_closed()
+
+
+def test_family_table_is_guarded():
+    space = ElementSpace(SoftSet.of([range(21)], 21))
+    with pytest.raises(CapacityError):
+        SEFamily(space, (0,)).inside(0)
 
 
 def test_least_opens_are_least():
