@@ -30,7 +30,7 @@ from .pairwise import (
     verify_theorems,
 )
 from .scenarios import run_all
-from .softsets import SoftSet, is_se_representable
+from .softsets import SoftSet, check_filtration_guard, is_se_representable
 from .softtop import SoftTopology, canonical_topology, is_canonical
 from . import __version__
 
@@ -209,6 +209,8 @@ def _verdict_fields(desc: SpaceDescription, v: Verdict) -> tuple[str, Optional[l
 
 def _build_check_report(desc: SpaceDescription) -> dict:
     space = SoftBitopSpace(desc.soft_set, desc.tau1, desc.tau2)
+    # The induced verdicts need the filtration: refuse before deciding.
+    check_filtration_guard(space.space.size)
     report: dict = {"command": "check"}
     report["tau1"] = {"opens": len(desc.tau1), "canonical": is_canonical(desc.tau1)}
     report["tau2"] = {"opens": len(desc.tau2), "canonical": is_canonical(desc.tau2)}

@@ -19,7 +19,14 @@ from .finsets import (
     pairwise_t1,
     pairwise_t2,
 )
-from .softsets import ElementSpace, SoftElement, SoftSet, soft_subset, soft_union
+from .softsets import (
+    ElementSpace,
+    SoftSet,
+    check_filtration_guard,
+    flat_soft_set,
+    soft_subset,
+    soft_union,
+)
 from .softtop import (
     SEFamily,
     SoftTopology,
@@ -87,15 +94,35 @@ class SoftBitopSpace:
 # The soft deciders test least soft opens (SoftTopology.least_opens)
 # instead of scanning pairs of opens.  An open around a that misses b, or
 # two soft-disjoint opens around a and b, exist iff N(a), the least open
-# around a, does the same: every open around a contains N(a).  Soft
-# elements are scanned in the same order as by a brute-force scan, so the
-# least witness is the same.  Each pair costs O(p) after the least opens
-# are built once per topology.
+# around a, does the same: every open around a contains N(a).
+#
+# Each decider builds one row mask per soft element i: the soft elements j
+# for which the ordered pair (i, j) is not separated.  A row is a few
+# big-int operations on tables with one mask of soft elements per cell of
+# the flat layout (`softsets.flat_soft_set`):
+# - ElementSpace.inside(f), the soft elements lying in the flat soft set f;
+# - around(i), the AND of SoftTopology.holders over the cells of element
+#   i: the soft elements j with i in N(j);
+# - the OR of holders over the cells of N(i): the soft elements j whose
+#   least open meets N(i) at some cell.
+# Rows are built in the order of the brute-force scan, i-major, so the
+# lowest set bit of the first nonzero row is the least witness.  A row
+# costs O(|SE|.cells) bit operations, the tables are built once per
+# topology, and no |SE| x |SE| matrix is ever held.
 
 
-def _inside(b: SoftElement, key: tuple[int, ...]) -> bool:
-    """Sectionwise membership of b in the soft set with section masks key."""
-    return all(m >> x & 1 for m, x in zip(key, b))
+def _cells(f: int):
+    """The cells of the flat soft set f, ascending."""
+    while f:
+        low = f & -f
+        yield low.bit_length() - 1
+        f ^= low
+
+
+def _unseparated(space: SoftBitopSpace, i: int, row: int, detail: str) -> Verdict:
+    """The failing verdict at soft element i and the lowest j of its row."""
+    elems = space.space.elements
+    return Verdict(False, (elems[i], elems[(row & -row).bit_length() - 1]), detail)
 
 
 def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
@@ -103,19 +130,26 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     distinct soft elements.
 
     Decided as: b lies outside N1(a) or N2(a), or a lies outside N1(b) or
-    N2(b); that is, one of them misses the sectionwise meet of the two
-    least opens around the other.  Exact for any finite families.
+    N2(b).  Row i is inside(N1(i) & N2(i)) & around1(i) & around2(i), cut
+    to j > i: the later soft elements in both least opens of i whose two
+    least opens both hold i.  The search runs this once per pair, so the
+    cheap around part comes first and `inside` runs only on a nonzero
+    remainder.  Exact for any finite families.
     """
-    elems = space.space.elements
-    both = [
-        tuple(u & v for u, v in zip(h, k))
-        for h, k in zip(space.tau1.least_opens, space.tau2.least_opens)
-    ]
-    for i, a in enumerate(elems):
-        for j in range(i + 1, len(elems)):
-            b = elems[j]
-            if _inside(b, both[i]) and _inside(a, both[j]):
-                return Verdict(False, (a, b), "least unseparated pair")
+    es = space.space
+    n1, n2 = space.tau1.least_opens, space.tau2.least_opens
+    h1, h2 = space.tau1.holders, space.tau2.holders
+    for i, a in enumerate(es.flat_elements):
+        row = -(2 << i)  # every j > i
+        while a:
+            low = a & -a
+            c = low.bit_length() - 1
+            row &= h1[c] & h2[c]
+            a ^= low
+        if row:
+            row &= es.inside(n1[i] & n2[i])
+        if row:
+            return _unseparated(space, i, row, "least unseparated pair")
     return Verdict(True)
 
 
@@ -123,15 +157,18 @@ def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) is split by an open of the first topology
     around a and one of the second around b.
 
-    Decided as: b is not in N1(a) and a is not in N2(b).  Exact for any
-    finite families.
+    Decided as: b is not in N1(a) and a is not in N2(b).  Row i is
+    inside(N1(i)) | around2(i), without i.  Exact for any finite families.
     """
-    elems = space.space.elements
-    n1, n2 = space.tau1.least_opens, space.tau2.least_opens
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if i != j and (_inside(b, n1[i]) or _inside(a, n2[j])):
-                return Verdict(False, (a, b), "least unseparated ordered pair")
+    es = space.space
+    n1, h2 = space.tau1.least_opens, space.tau2.holders
+    for i, a in enumerate(es.flat_elements):
+        around = -1
+        for c in _cells(a):
+            around &= h2[c]
+        row = (es.inside(n1[i]) | around) & ~(1 << i)
+        if row:
+            return _unseparated(space, i, row, "least unseparated ordered pair")
     return Verdict(True)
 
 
@@ -140,16 +177,19 @@ def pairwise_soft_t2(space: SoftBitopSpace) -> Verdict:
     the two topologies in their fixed roles.
 
     Soft disjointness means every section of the intersection is empty.
-    Decided as: N1(a) and N2(b) are disjoint at every parameter.  This
-    needs N(a) to be open, which holds for soft topologies, as they are
-    closed under finite intersections.
+    Decided as: N1(a) and N2(b) are disjoint at every parameter.  Row i is
+    the OR of holders2 over the cells of N1(i), without i.  This needs
+    N(a) to be open, which holds for soft topologies, as they are closed
+    under finite intersections.
     """
-    elems = space.space.elements
-    n1, n2 = space.tau1.least_opens, space.tau2.least_opens
-    for i, a in enumerate(elems):
-        for j, b in enumerate(elems):
-            if i != j and any(u & v for u, v in zip(n1[i], n2[j])):
-                return Verdict(False, (a, b), "least unseparated ordered pair")
+    n1, h2 = space.tau1.least_opens, space.tau2.holders
+    for i, least in enumerate(n1):
+        row = 0
+        for c in _cells(least):
+            row |= h2[c]
+        row &= ~(1 << i)
+        if row:
+            return _unseparated(space, i, row, "least unseparated ordered pair")
     return Verdict(True)
 
 
@@ -219,12 +259,9 @@ def find_finite_subcover(cover: SoftCover) -> tuple[tuple[SoftSet, str], ...]:
     verdict = is_pairwise_soft_cover(cover)
     if not verdict.holds:
         raise NotACoverError(f"not a pairwise soft cover: {verdict.detail}")
-    n = cover.target.universe_size
-
-    def flat(h: SoftSet) -> int:
-        return sum(s.mask << (t * n) for t, s in enumerate(h.sections))
-
-    found = _min_cover([flat(m) for m, _ in cover.members], flat(cover.target))
+    found = _min_cover(
+        [flat_soft_set(m) for m, _ in cover.members], flat_soft_set(cover.target)
+    )
     assert found is not None, "the full family covers"
     return tuple(cover.members[i] for i in found)
 
@@ -290,6 +327,9 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     soft disjointness needs an empty intersection at every parameter.  A
     FAIL on any other row indicates an implementation bug.
     """
+    # Every row below the soft ones needs the induced families, so a space
+    # past the filtration guard is refused before anything is decided.
+    check_filtration_guard(space.space.size)
     checks: list[TheoremCheck] = []
     p = space.soft_set.param_count
 
@@ -360,6 +400,11 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         )
     )
 
+    # The enlargement row: the enlargement contains the original, has the
+    # same component topologies and induces the same family.  The last
+    # clause follows from the second, since the induced family reads only
+    # the component topologies (`induced_topology` returns its memoised
+    # family for equal components).
     enlargement_ok = True
     for tau, ind_fam in ((space.tau1, ind1), (space.tau2, ind2)):
         can = canonical_enlargement(tau)
@@ -521,12 +566,6 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                             "enlarged_opens": len(enlarged),
                         }
                     )
-            # Each pool entry's induced family is built once, and with it
-            # its table and minimal members.
-            @cache
-            def induced_of(idx: int) -> SEFamily:
-                return induced_topology(pool[idx], space)
-
             @cache
             def descriptor(idx: int) -> list[list[list[int]]]:
                 return _topology_descriptor(pool[idx])
@@ -536,8 +575,9 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                     sp = SoftBitopSpace(ambient, tau1, tau2, space)
                     if pairwise_soft_t0(sp).holds:
                         continue
-                    pair = BitopPair(induced_of(i), induced_of(j))
-                    if pairwise_t2(pair)[0]:
+                    # The induced families are memoised on the shared
+                    # space, so each pool entry's is built once.
+                    if pairwise_t2(sp.induced_pair)[0]:
                         class_i.append(
                             {
                                 "universe_size": n,

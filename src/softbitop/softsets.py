@@ -2,8 +2,11 @@
 
 A soft set is a finite tuple of sections (one FinSet per parameter) over
 one shared universe.  Its soft elements are the selections picking one
-member from every section; they are materialized eagerly in lexicographic
-order so subsets of them can be handled as bitmasks over stable indices.
+member from every section; they are indexed in lexicographic order so
+subsets of them can be handled as bitmasks over stable indices.
+
+A soft set or a soft element is also handled flat, as one int with one
+bit per cell: cell t * universe_size + x stands for point x at parameter t.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 from .errors import CapacityError, InputError, NoSoftElementsError
 from .finsets import FinSet
 
-# Eager materialization guard for the soft-element list.
+# Guard on the soft-element count, checked when an ElementSpace is built.
 SE_MATERIALIZATION_LIMIT = 1 << 20
 # Guard for every table or filtration over all 2^|SE(F)| subsets.
 SE_FILTRATION_LIMIT = 20
@@ -81,6 +84,12 @@ class SoftSet:
         return all(s.is_empty for s in self.sections)
 
 
+def flat_soft_set(h: SoftSet) -> int:
+    """All sections of h in one int, section t shifted by t * universe_size."""
+    n = h.universe_size
+    return sum(s.mask << (t * n) for t, s in enumerate(h.sections))
+
+
 def _check_shapes(a: SoftSet, b: SoftSet) -> None:
     if a.param_count != b.param_count or a.universe_size != b.universe_size:
         raise InputError("soft sets must share parameter count and universe size")
@@ -107,10 +116,12 @@ def soft_equal(f: SoftSet, h: SoftSet) -> bool:
 
 
 class ElementSpace:
-    """The enumerated soft elements of a soft set with nonempty sections.
+    """The soft elements of a soft set with nonempty sections.
 
     Elements are ordered lexicographically, parameter index major.  All
-    subset work downstream indexes into this fixed order.
+    subset work downstream indexes into this fixed order.  The space is
+    checked and counted when built; every table, the element list
+    included, is built on first use.
     """
 
     def __init__(self, soft_set: SoftSet):
@@ -125,12 +136,19 @@ class ElementSpace:
                 f"soft-element count {count} exceeds {SE_MATERIALIZATION_LIMIT}"
             )
         self.soft_set = soft_set
-        self.elements: tuple[SoftElement, ...] = tuple(product(*factor_members))
-        self._index = {e: i for i, e in enumerate(self.elements)}
+        self.size = count
+        self._factors = factor_members
+        # Induced families by the open masks of their component topologies,
+        # filled by softtop.induced_topology.
+        self.induced_families: dict[tuple, object] = {}
 
-    @property
-    def size(self) -> int:
-        return len(self.elements)
+    @cached_property
+    def elements(self) -> tuple[SoftElement, ...]:
+        return tuple(product(*self._factors))
+
+    @cached_property
+    def _index(self) -> dict[SoftElement, int]:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def index_of(self, elem: SoftElement) -> int:
         try:
@@ -145,21 +163,75 @@ class ElementSpace:
         return SESubset(self, mask)
 
     @cached_property
+    def flat_elements(self) -> tuple[int, ...]:
+        """Each soft element as a flat int: its p cells."""
+        n = self.soft_set.universe_size
+        cells = ([1 << (t * n + x) for x in ms] for t, ms in enumerate(self._factors))
+        return tuple(map(sum, product(*cells)))
+
+    @cached_property
+    def cell_elements(self) -> tuple[int, ...]:
+        """For each cell t * universe_size + x, the mask of the soft
+        elements whose t-th coordinate is x.
+
+        In the lexicographic order these elements come in runs of `run`
+        indices, the product of the later section sizes, one run in every
+        block of len(section t) * run indices.  Each mask is one run moved
+        into place in the first block and then copied to every block by
+        doubling, so no mask grows bit by bit.
+        """
+        n = self.soft_set.universe_size
+        cells = [0] * (len(self._factors) * n)
+        block = self.size
+        for t, ms in enumerate(self._factors):
+            run = block // len(ms)
+            for k, x in enumerate(ms):
+                mask, width = ((1 << run) - 1) << (k * run), block
+                while width < self.size:
+                    mask |= mask << width
+                    width *= 2
+                cells[t * n + x] = mask & self._all
+            block = run
+        return tuple(cells)
+
+    @cached_property
+    def _all(self) -> int:
+        return (1 << self.size) - 1
+
+    @cached_property
+    def _flat_ambient(self) -> int:
+        return flat_soft_set(self.soft_set)
+
+    def inside(self, f: int) -> int:
+        """The mask of the soft elements lying in the flat soft set f.
+
+        That is the AND over t of the OR of cell_elements over the points
+        of f's section t; equivalently, every element except those with a
+        coordinate in a cell of the ambient that f misses.
+        """
+        cells = self.cell_elements
+        out = 0
+        miss = self._flat_ambient & ~f
+        while miss:
+            low = miss & -miss
+            out |= cells[low.bit_length() - 1]
+            miss ^= low
+        return self._all ^ out
+
+    @cached_property
     def flat_sections(self) -> tuple[int, ...]:
         """For every subset mask m, all sections of m packed into one int,
         section t shifted by t * universe_size.  The table has 2^size
         entries, so it is refused past SE_FILTRATION_LIMIT.  The masks
         with top bit i are those below 2^i plus element i's bits."""
         check_filtration_guard(self.size)
-        n = self.soft_set.universe_size
         flat = [0]
-        for e in self.elements:
-            bits = sum(1 << (t * n + x) for t, x in enumerate(e))
+        for bits in self.flat_elements:
             flat += [f | bits for f in flat]
         return tuple(flat)
 
     def full_subset(self) -> "SESubset":
-        return SESubset(self, (1 << self.size) - 1)
+        return SESubset(self, self._all)
 
     def empty_subset(self) -> "SESubset":
         return SESubset(self, 0)
@@ -237,11 +309,7 @@ def se_of_softset(space: ElementSpace, h: SoftSet) -> SESubset:
     """
     if not soft_subset(h, space.soft_set):
         raise InputError("h must be a soft subset of the ambient soft set")
-    mask = 0
-    for i, e in enumerate(space.elements):
-        if all(x in s for x, s in zip(e, h.sections)):
-            mask |= 1 << i
-    return SESubset(space, mask)
+    return SESubset(space, space.inside(flat_soft_set(h)))
 
 
 def is_se_representable(k: SESubset) -> tuple[bool, Optional[SoftElement]]:

@@ -5,9 +5,10 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, product
 from math import prod
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
@@ -16,6 +17,7 @@ from .softsets import (
     ElementSpace,
     SoftSet,
     check_filtration_guard,
+    flat_soft_set,
     soft_intersection,
     soft_subset,
     soft_union,
@@ -67,25 +69,47 @@ class SoftTopology:
         return h.key in self._keys
 
     @cached_property
-    def least_opens(self) -> tuple[tuple[int, ...], ...]:
+    def _space(self) -> ElementSpace:
+        return ElementSpace(self.ambient)
+
+    @cached_property
+    def _flat_opens(self) -> tuple[int, ...]:
+        return tuple(flat_soft_set(h) for h in self.opens)
+
+    @cached_property
+    def least_opens(self) -> tuple[int, ...]:
         """For each soft element a of the ambient, in ElementSpace order,
-        the soft intersection N(a) of the opens that contain a, given by
-        its section masks (as SoftSet.key).
+        the soft intersection N(a) of the opens that contain a, as a flat
+        soft set (`flat_soft_set`).
 
         Soft membership is sectionwise, so a soft element lies in N(a) iff
         it lies in every open around a.  A soft topology is closed under
         finite intersections, so N(a) is itself open: the least open
-        containing a.
+        containing a.  The ambient is open, so every a has one.
         """
-        keys = [h.key for h in self.opens]
-        out = []
-        for a in ElementSpace(self.ambient).elements:
-            meet = self.ambient.key
-            for key in keys:
-                if all(m >> x & 1 for m, x in zip(key, a)):
-                    meet = tuple(u & v for u, v in zip(meet, key))
-            out.append(meet)
-        return tuple(out)
+        opens = self._flat_opens
+        return tuple(
+            reduce(and_, [h for h in opens if h & a == a])
+            for a in self._space.flat_elements
+        )
+
+    @cached_property
+    def holders(self) -> tuple[int, ...]:
+        """For each cell c, the mask of the soft elements j whose least
+        open N(j) holds c.
+
+        The opens missing c are closed under unions, so their union G is
+        the largest open missing c, and N(j) misses c iff j lies in G.
+        holders[c] is the complement of the elements inside G.
+        """
+        space = self._space
+        opens = self._flat_opens
+        every = (1 << space.size) - 1
+        cells = self.ambient.param_count * self.ambient.universe_size
+        return tuple(
+            every ^ space.inside(reduce(or_, [h for h in opens if not h >> c & 1]))
+            for c in range(cells)
+        )
 
     @cached_property
     def components(self) -> tuple[ClassicalTopology, ...]:
@@ -300,19 +324,27 @@ def induced_topology(
     general: sections of an intersection can be strictly smaller than the
     intersections of sections.  The sections of every subset are read
     from `ElementSpace.flat_sections`, which enforces the filtration guard.
+
+    The family depends only on the component topologies, so it is built
+    once per element space and tuple of component opens, and every later
+    call with equal components returns the same object.
     """
     if space is None:
         space = ElementSpace(tau.ambient)
     elif space.soft_set != tau.ambient:
         raise InputError("element space does not match the topology's ambient")
-    flat = space.flat_sections
-    n = tau.ambient.universe_size
-    full = (1 << n) - 1
-    keep: Iterable[int] = range(len(flat))
-    for t, comp in enumerate(tau.components):
-        opens, shift = set(comp.open_masks), t * n
-        keep = [m for m in keep if flat[m] >> shift & full in opens]
-    return SEFamily(space, tuple(keep))
+    key = tuple(c.open_masks for c in tau.components)
+    family = space.induced_families.get(key)
+    if family is None:
+        flat = space.flat_sections
+        n = tau.ambient.universe_size
+        full = (1 << n) - 1
+        keep: Iterable[int] = range(len(flat))
+        for t, masks in enumerate(key):
+            opens, shift = set(masks), t * n
+            keep = [m for m in keep if flat[m] >> shift & full in opens]
+        family = space.induced_families[key] = SEFamily(space, tuple(keep))
+    return family
 
 
 def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> bool:
@@ -367,6 +399,6 @@ def reconstruct(u: SEFamily) -> Reconstruction:
         sigmas.append(generate_topology(subbase, n, carrier=ambient.section(t)))
     tau_hat = canonical_topology(ambient, sigmas)
     induced = induced_topology(tau_hat, space)
-    contained = all(induced.contains_mask(m) for m in u.masks)
+    contained = induced._mask_set.issuperset(u.masks)
     assert contained, "reconstruction must contain its input family"
     return Reconstruction(tuple(sigmas), tau_hat, contained)

@@ -4,6 +4,7 @@ import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     SIXTEEN_PARAMS,
+    _write_doc,
     write_16_soft_element_space,
     write_20_soft_element_space,
 )
+from softbitop import SoftTopology
 from softbitop.cli import main, parse_space
 
 HERE = pathlib.Path(__file__).parent
@@ -102,6 +105,35 @@ def test_check_20_soft_elements(capsys, tmp_path):
         "component[a2]: t0=false t1=false t2=false",
         "induced: t0=true t1=true t2=true",
     ]
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_past_the_filtration_guard_nothing_is_decided(
+    capsys, monkeypatch, tmp_path, command
+):
+    """2 points x 12 parameters, indiscrete canonical on both sides: 4,096
+    soft elements.  Both commands refuse the document before any decider
+    builds a least open."""
+    builds = Counter()
+    least_opens = SoftTopology.least_opens
+
+    def counting(tau):
+        builds["least_opens"] += 1
+        return least_opens.func(tau)
+
+    monkeypatch.setattr(SoftTopology, "least_opens", property(counting))
+    params = [f"p{k}" for k in range(12)]
+    indiscrete = {"generate": "canonical", "subbases": {}}
+    doc = {
+        "universe": ["x0", "x1"],
+        "params": params,
+        "sections": {p: ["x0", "x1"] for p in params},
+        "topologies": [indiscrete, indiscrete],
+    }
+    code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
+    assert (code, out) == (3, "")
+    assert err == "capacity error: soft-element count 4096 exceeds filtration guard 20\n"
+    assert builds["least_opens"] == 0
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

@@ -31,6 +31,7 @@ from conftest import (
     element_space_of_size,
     random_carrier,
     random_nonempty_mask,
+    random_sigma_family,
     random_soft_set,
     random_soft_topology,
     rng_for,
@@ -51,6 +52,7 @@ from softbitop import (
     decide_finite_subcover,
     enumerate_topologies,
     find_finite_subcover,
+    generate_topology,
     induced_topology,
     minimal_subcover_indices,
     pairwise_soft_t0,
@@ -179,6 +181,71 @@ def test_soft_deciders_on_random_carriers():
         space = SoftBitopSpace(ambient, tau1, tau2)
         for fast, slow in soft_cases(space):
             assert fast == slow
+
+
+def test_soft_deciders_on_sampled_3x2_pool_pairs():
+    """A seeded sample of 2,000 ordered pairs of the 3x2 pool, plus every
+    ordered pair of its twelve entries with the most opens.  Soft T1 holds
+    here only for the pair of discrete canonical topologies, which the
+    second part brings in.  Soft T2 never holds on this carrier: two soft
+    elements that share a coordinate have least opens that meet there, so
+    both of its verdicts are left to the carriers of the next test."""
+    pool = candidate_soft_topologies(3, 2)
+    ambient = pool[0].ambient
+    space = ElementSpace(ambient)
+    rng = rng_for("oracle-equivalence-3x2-pool")
+    pairs = [(rng.randrange(len(pool)), rng.randrange(len(pool))) for _ in range(2000)]
+    finest = sorted(range(len(pool)), key=lambda k: -len(pool[k]))[:12]
+    pairs += product(finest, repeat=2)
+    tally = Counter()
+    for i, j in pairs:
+        sp = SoftBitopSpace(ambient, pool[i], pool[j], space)
+        for k, (fast, slow) in enumerate(soft_cases(sp)):
+            assert fast == slow, (k, i, j)
+            tally[k, fast.holds] += 1
+    assert all(tally[k, holds] for k in (0, 1) for holds in (True, False)), tally
+    assert not tally[2, True], tally
+
+
+def random_uneven_carrier(rng):
+    """2 to 4 points and 1 to 4 parameters, 2 to 16 soft elements; with
+    two or more parameters the sections are not all equal."""
+    while True:
+        n, p = rng.randint(2, 4), rng.randint(1, 4)
+        sections = [random_nonempty_mask(rng, n) for _ in range(p)]
+        if not 2 <= prod(m.bit_count() for m in sections) <= 16:
+            continue
+        if p == 1 or len(set(sections)) > 1:
+            return SoftSet(tuple(FinSet(n, m) for m in sections))
+
+
+def test_soft_deciders_on_seeded_carriers_up_to_16_soft_elements():
+    """Topologies closed from random soft sets, canonical from random
+    subbases, or discrete canonical.  Every verdict of every decider
+    occurs."""
+    rng = rng_for("oracle-equivalence-soft-16")
+    tally = Counter()
+    for _ in range(200):
+        ambient = random_uneven_carrier(rng)
+        taus = []
+        for _ in range(2):
+            kind = rng.choice(("closed", "canonical", "discrete"))
+            if kind == "closed":
+                taus.append(random_soft_topology(rng, ambient))
+                continue
+            sigmas = random_sigma_family(rng, ambient)
+            if kind == "discrete":
+                n = ambient.universe_size
+                sigmas = [
+                    generate_topology([FinSet.of([x], n) for x in s.members()], n, carrier=s)
+                    for s in ambient.sections
+                ]
+            taus.append(canonical_topology(ambient, sigmas))
+        space = SoftBitopSpace(ambient, *taus)
+        for k, (fast, slow) in enumerate(soft_cases(space)):
+            assert fast == slow, (k, ambient.key)
+            tally[k, fast.holds] += 1
+    assert all(tally[k, holds] for k in (0, 1, 2) for holds in (True, False)), tally
 
 
 @st.composite

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -85,6 +86,30 @@ def test_discrete_pair_soft_t2_needs_disjoint_sections_everywhere():
     assert verdict.witness == ((0, 0), (0, 1))
     # with a single parameter there is no shared coordinate to collide on
     assert pairwise_soft_t2(discrete_space(LINE)).holds
+
+
+def test_soft_deciders_memory_on_16384_soft_elements():
+    """2 points x 14 parameters, both topologies {null, ambient}.  Every
+    least open is the ambient, so each decider fails at the first pair,
+    (0, 1), once its tables are built.  The tables hold O(|SE|.cells)
+    bits; one |SE| x |SE| bit matrix alone would take 32 MB."""
+    ambient = SoftSet.of([range(2)] * 14, 2)
+    null = SoftSet.null(14, 2)
+    tau1, tau2 = (SoftTopology.build([null, ambient], ambient) for _ in range(2))
+    space = SoftBitopSpace(ambient, tau1, tau2)
+    tracemalloc.start()
+    try:
+        verdicts = [
+            decide(space)
+            for decide in (pairwise_soft_t0, pairwise_soft_t1, pairwise_soft_t2)
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    first, second = space.space.elements[:2]
+    assert [v.holds for v in verdicts] == [False] * 3
+    assert [v.witness for v in verdicts] == [(first, second)] * 3
+    assert peak < 8 << 20, peak
 
 
 def test_mixed_pair_soft_t0():
@@ -279,6 +304,24 @@ def test_verify_theorems_builds_each_component_once(monkeypatch):
     assert all(c.applicable for c in report.checks)
     assert set(builds.values()) == {1}
     assert len(builds) == 6 * 2, builds
+
+
+def test_verify_theorems_filters_once_per_family(monkeypatch):
+    """The enlargements and the reconstructions have the components of
+    the two topologies, so verify builds just the two induced families."""
+    built = Counter()
+    init = softtop.SEFamily.__init__
+
+    def counting(self, space, masks):
+        built["families"] += 1
+        init(self, space, masks)
+
+    monkeypatch.setattr(softtop.SEFamily, "__init__", counting)
+    indiscrete, sierpinski = enumerate_topologies(2)[:2]
+    tau1 = canonical_topology(SQUARE, [sierpinski, indiscrete])
+    space = SoftBitopSpace(SQUARE, tau1, soft_discrete(SQUARE))
+    verify_theorems(space)
+    assert built["families"] == 2
 
 
 # ---------------------------------------------------------------- search

@@ -22,7 +22,8 @@ from softbitop import (
     soft_subset,
     soft_union,
 )
-from softbitop.softsets import SE_FILTRATION_LIMIT
+from softbitop.softsets import SE_FILTRATION_LIMIT, flat_soft_set
+from conftest import random_soft_set, rng_for
 
 # Running example: carrier with sections {x1,x2} and {x3,x4} over a
 # four-point universe x1..x4 encoded as 0..3.
@@ -145,6 +146,34 @@ def test_flat_sections_agree_with_section_walk():
                 carrier.key,
                 m,
             )
+
+
+def test_cell_tables_agree_with_element_walk():
+    """flat_elements, cell_elements and inside (which se_of_softset reads)
+    against a walk over the soft elements, on every small carrier; inside
+    on 16 seeded soft subsets of each, the null and the full one among
+    them."""
+    rng = rng_for("cell-tables")
+    for carrier in small_carriers(8):
+        space = ElementSpace(carrier)
+        n, p = carrier.universe_size, carrier.param_count
+        assert space.flat_elements == tuple(
+            sum(1 << (t * n + x) for t, x in enumerate(e)) for e in space.elements
+        )
+        assert space.cell_elements == tuple(
+            sum(1 << i for i, e in enumerate(space.elements) if e[t] == x)
+            for t in range(p)
+            for x in range(n)
+        )
+        subsets = [SoftSet.null(p, n), carrier]
+        subsets += (random_soft_set(rng, carrier) for _ in range(14))
+        for h in subsets:
+            walk = sum(
+                1 << i
+                for i, e in enumerate(space.elements)
+                if all(x in s for x, s in zip(e, h.sections))
+            )
+            assert space.inside(flat_soft_set(h)) == walk
 
 
 def test_flat_sections_guard_refuses_before_allocating():

@@ -20,6 +20,7 @@ from softbitop import (
     reconstruct,
     se_of_softset,
 )
+from softbitop.softsets import flat_soft_set
 from conftest import random_carrier, random_soft_topology, rng_for
 
 
@@ -255,9 +256,25 @@ def test_least_opens_are_least():
         elements = ElementSpace(ambient).elements
         assert len(tau.least_opens) == len(elements)
         for a, least in zip(elements, tau.least_opens):
-            around = [h.key for h in tau.opens if all(x in s for x, s in zip(a, h.sections))]
+            around = [
+                flat_soft_set(h)
+                for h in tau.opens
+                if all(x in s for x, s in zip(a, h.sections))
+            ]
             assert least in around
-            assert all(u & ~v == 0 for key in around for u, v in zip(least, key))
+            assert all(least & ~h == 0 for h in around)
+
+
+def test_holders_hold_the_elements_whose_least_open_holds_the_cell():
+    rng = rng_for("holders")
+    for _ in range(100):
+        ambient = random_carrier(rng)
+        tau = random_soft_topology(rng, ambient)
+        cells = ambient.param_count * ambient.universe_size
+        assert tau.holders == tuple(
+            sum(1 << j for j, least in enumerate(tau.least_opens) if least >> c & 1)
+            for c in range(cells)
+        )
 
 
 def test_induced_union_closed_randomized():
