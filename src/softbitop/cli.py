@@ -14,10 +14,18 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import CapacityError, InputError, NoSoftElementsError, SoftBitopError
-from .finsets import FinSet, generate_topology, pairwise_t0, pairwise_t1, pairwise_t2
+from .finsets import (
+    ClassicalTopology,
+    FinSet,
+    generate_topology,
+    pairwise_t0,
+    pairwise_t1,
+    pairwise_t2,
+)
 from .pairwise import (
     SoftBitopSpace,
     Verdict,
@@ -124,7 +132,7 @@ def parse_space(doc: dict) -> SpaceDescription:
     topo_docs = _need(doc, "topologies")
     if not isinstance(topo_docs, list) or len(topo_docs) != 2:
         raise InputError("'topologies' must be a list of exactly two entries")
-    taus = [
+    parsed = [
         _parse_topology(td, i, soft_set, params, elem_idx)
         for i, td in enumerate(topo_docs)
     ]
@@ -145,6 +153,14 @@ def parse_space(doc: dict) -> SpaceDescription:
             resolved.append(tuple(elem))
         representability = tuple(resolved)
 
+    # check and verify both decide on the induced families, which need the
+    # filtration: past its guard the document is refused here, once it is
+    # known to be well formed and before any canonical product is built.
+    check_filtration_guard(prod(len(s) for s in soft_set.sections))
+    taus = [
+        tau if isinstance(tau, SoftTopology) else canonical_topology(soft_set, tau)
+        for tau in parsed
+    ]
     return SpaceDescription(
         universe, params, soft_set, taus[0], taus[1], representability
     )
@@ -156,7 +172,9 @@ def _parse_topology(
     soft_set: SoftSet,
     params: tuple[str, ...],
     elem_idx: dict[str, int],
-) -> SoftTopology:
+) -> SoftTopology | list[ClassicalTopology]:
+    """A document of opens as its validated soft topology, or a
+    `generate: canonical` document as its component topologies."""
     where = f"topologies[{which}]"
     n = soft_set.universe_size
     if not isinstance(td, dict):
@@ -193,7 +211,7 @@ def _parse_topology(
                 for s in members
             ]
             sigmas.append(generate_topology(subbase, n, carrier=carrier))
-        return canonical_topology(soft_set, sigmas)
+        return sigmas
     raise InputError(f"{where} needs 'opens' or 'generate: canonical'")
 
 

@@ -14,6 +14,7 @@ from .finsets import (
     BitopPair,
     FinSet,
     _min_cover,
+    bits,
     enumerate_topologies,
     pairwise_t0,
     pairwise_t1,
@@ -34,6 +35,7 @@ from .softtop import (
     canonical_topology,
     check_finest_open_projections,
     component_topology,
+    enlargement_size,
     induced_topology,
     is_canonical,
     reconstruct,
@@ -111,14 +113,6 @@ class SoftBitopSpace:
 # topology, and no |SE| x |SE| matrix is ever held.
 
 
-def _cells(f: int):
-    """The cells of the flat soft set f, ascending."""
-    while f:
-        low = f & -f
-        yield low.bit_length() - 1
-        f ^= low
-
-
 def _unseparated(space: SoftBitopSpace, i: int, row: int, detail: str) -> Verdict:
     """The failing verdict at soft element i and the lowest j of its row."""
     elems = space.space.elements
@@ -136,9 +130,19 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     cheap around part comes first and `inside` runs only on a nonzero
     remainder.  Exact for any finite families.
     """
-    es = space.space
-    n1, n2 = space.tau1.least_opens, space.tau2.least_opens
-    h1, h2 = space.tau1.holders, space.tau2.holders
+    hit = _t0_row(space.space, space.tau1, space.tau2)
+    if hit is None:
+        return Verdict(True)
+    return _unseparated(space, *hit, "least unseparated pair")
+
+
+def _t0_row(
+    es: ElementSpace, tau1: SoftTopology, tau2: SoftTopology
+) -> Optional[tuple[int, int]]:
+    """The first soft element i whose T0 row is nonzero, with its row, or
+    None when the pair is pairwise soft T0."""
+    n1, n2 = tau1.least_opens, tau2.least_opens
+    h1, h2 = tau1.holders, tau2.holders
     for i, a in enumerate(es.flat_elements):
         row = -(2 << i)  # every j > i
         while a:
@@ -149,8 +153,8 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
         if row:
             row &= es.inside(n1[i] & n2[i])
         if row:
-            return _unseparated(space, i, row, "least unseparated pair")
-    return Verdict(True)
+            return i, row
+    return None
 
 
 def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
@@ -164,7 +168,7 @@ def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
     n1, h2 = space.tau1.least_opens, space.tau2.holders
     for i, a in enumerate(es.flat_elements):
         around = -1
-        for c in _cells(a):
+        for c in bits(a):
             around &= h2[c]
         row = (es.inside(n1[i]) | around) & ~(1 << i)
         if row:
@@ -185,7 +189,7 @@ def pairwise_soft_t2(space: SoftBitopSpace) -> Verdict:
     n1, h2 = space.tau1.least_opens, space.tau2.holders
     for i, least in enumerate(n1):
         row = 0
-        for c in _cells(least):
+        for c in bits(least):
             row |= h2[c]
         row &= ~(1 << i)
         if row:
@@ -551,33 +555,36 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
     class_ii: list[dict] = []
     for n in range(1, max_universe + 1):
         for p in range(1, max_params + 1):
-            ambient = SoftSet.of([range(n)] * p, n)
             pool = candidate_soft_topologies(n, p)
-            space = ElementSpace(ambient)  # shared by every space of the pool
+            space = ElementSpace(pool[0].ambient)  # the ambient of every entry
             for idx, tau in enumerate(pool):
-                enlarged = canonical_enlargement(tau)
-                if len(enlarged) > len(tau):
+                enlarged = enlargement_size(tau)
+                if enlarged > len(tau):
                     class_ii.append(
                         {
                             "universe_size": n,
                             "param_count": p,
                             "index": idx,
                             "opens": _topology_descriptor(tau),
-                            "enlarged_opens": len(enlarged),
+                            "enlarged_opens": enlarged,
                         }
                     )
             @cache
             def descriptor(idx: int) -> list[list[list[int]]]:
                 return _topology_descriptor(pool[idx])
 
+            @cache
+            def induced(idx: int) -> SEFamily:
+                return induced_topology(pool[idx], space)
+
+            # Every entry lives on the pool's one ambient, whose sections
+            # are full: the pairs are decided on the entries and one element
+            # space, so no pair builds or validates a SoftBitopSpace.
             for i, tau1 in enumerate(pool):
                 for j, tau2 in enumerate(pool):
-                    sp = SoftBitopSpace(ambient, tau1, tau2, space)
-                    if pairwise_soft_t0(sp).holds:
+                    if _t0_row(space, tau1, tau2) is None:
                         continue
-                    # The induced families are memoised on the shared
-                    # space, so each pool entry's is built once.
-                    if pairwise_t2(sp.induced_pair)[0]:
+                    if pairwise_t2(BitopPair(induced(i), induced(j)))[0]:
                         class_i.append(
                             {
                                 "universe_size": n,

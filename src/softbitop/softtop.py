@@ -12,15 +12,13 @@ from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
-from .finsets import ClassicalTopology, FinSet, generate_topology, is_topology
+from .finsets import ClassicalTopology, FinSet, generate_topology, is_topology_masks
 from .softsets import (
     ElementSpace,
     SoftSet,
     check_filtration_guard,
     flat_soft_set,
-    soft_intersection,
     soft_subset,
-    soft_union,
 )
 
 # Sectionwise product guard for canonical topologies.
@@ -28,23 +26,19 @@ CANONICAL_PRODUCT_LIMIT = 1 << 20
 
 
 def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
-    """Null and ambient present, closed under binary soft union and
-    intersection (exact for finite families)."""
-    opens = list(opens)
+    """Null and ambient present, closed under soft union and intersection.
+
+    Handled flat (`flat_soft_set`), soft union and intersection are OR and
+    AND, so a soft topology is a topology whose carrier is the flat ambient
+    and whose points are its cells; `is_topology_masks` decides it.
+    """
+    whole = flat_soft_set(ambient)
+    masks = set()
     for h in opens:
         if not soft_subset(h, ambient):
             raise InputError("every member must be a soft subset of the ambient")
-    keys = {h.key for h in opens}
-    null_key = SoftSet.null(ambient.param_count, ambient.universe_size).key
-    if null_key not in keys or ambient.key not in keys:
-        return False
-    for a in opens:
-        for b in opens:
-            if soft_union(a, b).key not in keys:
-                return False
-            if soft_intersection(a, b).key not in keys:
-                return False
-    return True
+        masks.add(flat_soft_set(h))
+    return is_topology_masks(masks, whole)
 
 
 @dataclass(frozen=True)
@@ -137,7 +131,7 @@ def _build_component(tau: SoftTopology, t: int) -> ClassicalTopology:
     topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(sections)))
     # Sectioning a soft topology always yields a topology; anything else
     # is a bug upstream.
-    assert is_topology(topo.opens, n, carrier)
+    assert is_topology_masks(sections, carrier.mask)
     return topo
 
 
@@ -173,8 +167,17 @@ def canonical_enlargement(tau: SoftTopology) -> SoftTopology:
     return tau.enlargement
 
 
+def enlargement_size(tau: SoftTopology) -> int:
+    """The number of opens of tau's canonical enlargement, the product of
+    the sizes of its component topologies, counted without building it."""
+    return prod(len(c.opens) for c in tau.components)
+
+
 def is_canonical(tau: SoftTopology) -> bool:
-    return tau.opens == tau.enlargement.opens
+    """tau equals its enlargement iff both have as many opens: tau lies
+    inside its enlargement, since each t-section of an open of tau is open
+    in the component topology at t by definition."""
+    return len(tau) == enlargement_size(tau)
 
 
 # A subset table holds one cell per subset S of the soft elements, an

@@ -1,6 +1,15 @@
 """Brute-force deciders and subcover searches, kept as test oracles.
 
-These are the original deciders of `softbitop.finsets` and
+The closure checks and the generator at the top are the original ones of
+`softbitop.finsets` and `softbitop.softtop`, unchanged: `is_topology`,
+`_closed_masks` and `is_soft_topology` test every pair of members,
+`generate_topology` closes its subbase under unions and intersections to
+a fixed point, and `is_canonical` compares a soft topology with its built
+enlargement.  The library decides closure from the least neighbourhoods
+U(x) (`finsets.is_topology_masks`), generates as unions of the U(x), and
+counts the opens of the enlargement instead of building it.
+
+The pairwise deciders are the original ones of `softbitop.finsets` and
 `softbitop.pairwise`, unchanged: each scans every pair of opens for every
 pair of points.  The library decides the same axioms from least open
 neighbourhoods; `test_oracle_equivalence.py` checks that both give the
@@ -33,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from softbitop.errors import CapacityError, InputError, NotACoverError
 from softbitop.finsets import (
@@ -41,8 +50,7 @@ from softbitop.finsets import (
     ClassicalTopology,
     FinSet,
     Witness,
-    generate_topology,
-    is_topology,
+    _collect_masks,
 )
 from softbitop.pairwise import (
     SoftBitopSpace,
@@ -56,6 +64,9 @@ from softbitop.softsets import (
     SESubset,
     SoftElement,
     SoftSet,
+    soft_intersection,
+    soft_subset,
+    soft_union,
 )
 from softbitop.softtop import (
     Reconstruction,
@@ -71,6 +82,92 @@ from softbitop.symbolic import (
     cf_is_cover,
     cf_section,
 )
+
+
+def is_topology(
+    opens: Iterable[FinSet], n: int, carrier: Optional[FinSet] = None
+) -> bool:
+    """Check the (finite) topology axioms: empty and carrier present, closed
+    under binary union and binary intersection.
+
+    Binary closure is exact for finite families since arbitrary unions
+    reduce to iterated binary ones.
+    """
+    if carrier is None:
+        carrier = FinSet.full(n)
+    elif carrier.universe_size != n:
+        raise InputError("carrier universe size mismatch")
+    masks = set(_collect_masks(opens, n))
+    if any(m & ~carrier.mask for m in masks):
+        return False
+    if 0 not in masks or carrier.mask not in masks:
+        return False
+    for a in masks:
+        for b in masks:
+            if (a | b) not in masks or (a & b) not in masks:
+                return False
+    return True
+
+
+def _closed_masks(masks: set[int]) -> bool:
+    for a in masks:
+        for b in masks:
+            if (a | b) not in masks or (a & b) not in masks:
+                return False
+    return True
+
+
+def generate_topology(
+    subbase: Iterable[FinSet], n: int, carrier: Optional[FinSet] = None
+) -> ClassicalTopology:
+    """Smallest topology on the carrier containing the subbase.
+
+    The empty intersection contributes the carrier itself; closure under
+    binary unions and intersections is then iterated to a fixed point.
+    """
+    if carrier is None:
+        carrier = FinSet.full(n)
+    masks = set(_collect_masks(subbase, n))
+    if any(m & ~carrier.mask for m in masks):
+        raise InputError("subbase member not contained in the carrier")
+    masks |= {0, carrier.mask}
+    while True:
+        new = set()
+        for a in masks:
+            for b in masks:
+                u, i = a | b, a & b
+                if u not in masks:
+                    new.add(u)
+                if i not in masks:
+                    new.add(i)
+        if not new:
+            break
+        masks |= new
+    return ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(masks)))
+
+
+def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
+    """Null and ambient present, closed under binary soft union and
+    intersection (exact for finite families)."""
+    opens = list(opens)
+    for h in opens:
+        if not soft_subset(h, ambient):
+            raise InputError("every member must be a soft subset of the ambient")
+    keys = {h.key for h in opens}
+    null_key = SoftSet.null(ambient.param_count, ambient.universe_size).key
+    if null_key not in keys or ambient.key not in keys:
+        return False
+    for a in opens:
+        for b in opens:
+            if soft_union(a, b).key not in keys:
+                return False
+            if soft_intersection(a, b).key not in keys:
+                return False
+    return True
+
+
+def is_canonical(tau: SoftTopology) -> bool:
+    return tau.opens == tau.enlargement.opens
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:

@@ -16,7 +16,8 @@ from conftest import (
     write_16_soft_element_space,
     write_20_soft_element_space,
 )
-from softbitop import SoftTopology
+from softbitop import SoftTopology, canonical_topology
+from softbitop import cli
 from softbitop.cli import main, parse_space
 
 HERE = pathlib.Path(__file__).parent
@@ -111,9 +112,12 @@ def test_check_20_soft_elements(capsys, tmp_path):
 def test_past_the_filtration_guard_nothing_is_decided(
     capsys, monkeypatch, tmp_path, command
 ):
-    """2 points x 12 parameters, indiscrete canonical on both sides: 4,096
-    soft elements.  Both commands refuse the document before any decider
-    builds a least open."""
+    """Two canonical documents past the guard: 2 points x 12 parameters,
+    indiscrete on both sides (4,096 soft elements), and 2 points x 9
+    parameters, discrete on both sides (512 soft elements, 262,144 opens
+    per topology).  Both commands refuse each document once it is parsed,
+    before a canonical product is built or a decider builds a least
+    open."""
     builds = Counter()
     least_opens = SoftTopology.least_opens
 
@@ -121,19 +125,54 @@ def test_past_the_filtration_guard_nothing_is_decided(
         builds["least_opens"] += 1
         return least_opens.func(tau)
 
+    def canonical(*args):
+        builds["canonical_topology"] += 1
+        return canonical_topology(*args)
+
     monkeypatch.setattr(SoftTopology, "least_opens", property(counting))
-    params = [f"p{k}" for k in range(12)]
-    indiscrete = {"generate": "canonical", "subbases": {}}
-    doc = {
+    monkeypatch.setattr(cli, "canonical_topology", canonical)
+    for params, subbase, size in (
+        ([f"p{k}" for k in range(12)], [], 4096),
+        ([f"p{k}" for k in range(9)], [["x0"], ["x1"]], 512),
+    ):
+        side = {"generate": "canonical", "subbases": {p: subbase for p in params}}
+        doc = {
+            "universe": ["x0", "x1"],
+            "params": params,
+            "sections": {p: ["x0", "x1"] for p in params},
+            "topologies": [side, side],
+        }
+        code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"capacity error: soft-element count {size} exceeds filtration guard 20\n"
+        )
+    assert builds == {}
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_malformed_document_past_the_filtration_guard_exits_2(
+    capsys, tmp_path, command
+):
+    """The guard is tested only once the document is well formed: past it,
+    an unknown name in a subbase of the second topology or in the
+    representability list is still an input error."""
+    params = [f"p{k}" for k in range(9)]
+    side = {"generate": "canonical", "subbases": {p: [["x0"]] for p in params}}
+    base = {
         "universe": ["x0", "x1"],
         "params": params,
         "sections": {p: ["x0", "x1"] for p in params},
-        "topologies": [indiscrete, indiscrete],
+        "topologies": [side, side],
     }
-    code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
-    assert (code, out) == (3, "")
-    assert err == "capacity error: soft-element count 4096 exceeds filtration guard 20\n"
-    assert builds["least_opens"] == 0
+    broken = {"generate": "canonical", "subbases": {"p0": [["x9"]]}}
+    for doc in (
+        {**base, "topologies": [side, broken]},
+        {**base, "representability": [["x9"] * len(params)]},
+    ):
+        code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: unknown name 'x9'"), err
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

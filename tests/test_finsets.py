@@ -126,6 +126,18 @@ def test_classical_topology_build_validates():
         ClassicalTopology.build([FinSet.full(2)], 2)
 
 
+def test_contains_is_a_lookup_in_the_cached_masks():
+    """contains agrees with a scan of the opens on every subset of 3
+    points, for every topology, and open_masks is built once."""
+    for top in enumerate_topologies(3):
+        assert top.open_masks is top.open_masks
+        for m in range(8):
+            expected = any(o.mask == m for o in top.opens)
+            assert top.contains(FinSet(3, m)) == expected
+    with pytest.raises(InputError):
+        top.contains(FinSet(2, 0))
+
+
 # ---------------------------------------------------------------- generation
 
 

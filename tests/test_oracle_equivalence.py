@@ -13,7 +13,13 @@ subcover searches must give the same subcover, or raise the same error,
 as the search over `combinations` it replaced.  The induced family, the
 projection check and the reconstruction read sections from one table per
 element space; each must give what the walk over soft elements it
-replaced gives.
+replaced gives.  The closure check from least neighbourhoods, used by
+`is_topology`, `enumerate_topologies` and `is_soft_topology`, must agree
+with the test of every pair of members: exhaustively on 3- and 4-point
+carriers and on a 3-cell soft carrier, and with hypothesis beyond.
+`generate_topology` must give what the fixed-point closure gives, and
+`is_canonical`, which counts the opens of the enlargement, what comparing
+with the built enlargement gives.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from softbitop import (
     BitopPair,
     CofiniteSoftSet,
     FinSet,
+    InputError,
     NotACoverError,
     ElementSpace,
     SEFamily,
@@ -54,6 +61,9 @@ from softbitop import (
     find_finite_subcover,
     generate_topology,
     induced_topology,
+    is_canonical,
+    is_soft_topology,
+    is_topology,
     minimal_subcover_indices,
     pairwise_soft_t0,
     pairwise_soft_t1,
@@ -63,6 +73,7 @@ from softbitop import (
     pairwise_t2,
     reconstruct,
 )
+from softbitop.finsets import is_topology_masks
 from softbitop.pairwise import candidate_soft_topologies
 
 CLASSICAL = (
@@ -569,3 +580,150 @@ def test_projection_check_on_arbitrary_families(instance):
         tau, candidate
     ) == oracles.check_finest_open_projections(tau, candidate)
     assert reconstruct(candidate) == oracles.reconstruct(candidate)
+
+
+# ---------------------------------------------------------------- closure
+
+
+def families_holding_empty_and_carrier(carrier: int):
+    """Every family of subsets of the carrier mask that holds 0 and the
+    carrier, in the order of `enumerate_topologies`."""
+    middles = [m for m in range(1, carrier) if not m & ~carrier]
+    for choice in range(1 << len(middles)):
+        masks = {0, carrier}
+        masks.update(m for i, m in enumerate(middles) if choice >> i & 1)
+        yield masks
+
+
+def test_closure_check_on_every_family_of_3_and_4_point_carriers():
+    """The check from least neighbourhoods against the test of every pair
+    of members, on every family that holds 0 and its carrier: a 3-point
+    universe, a 4-point one, and two 3-point carriers inside it.  The
+    topologies among them are 355 + 3 * 29 (OEIS A000798)."""
+    families = topologies = 0
+    for n, carrier in ((3, 0b111), (4, 0b1111), (4, 0b1011), (4, 0b1110)):
+        for masks in families_holding_empty_and_carrier(carrier):
+            closed = oracles._closed_masks(masks)
+            assert is_topology_masks(masks, carrier) == closed, (n, masks)
+            opens = [FinSet(n, m) for m in masks]
+            assert is_topology(opens, n, FinSet(n, carrier)) == closed, (n, masks)
+            families += 1
+            topologies += closed
+    assert (families, topologies) == (16_576, 442)
+
+
+@st.composite
+def arbitrary_classical_families(draw):
+    """Any family on up to 5 points and any carrier: members may leave the
+    carrier, and 0 or the carrier may be missing."""
+    n = draw(st.integers(1, 5))
+    carrier = draw(st.integers(0, (1 << n) - 1))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if draw(st.booleans()):
+        masks = [m & carrier for m in masks] + [0, carrier]
+    return n, carrier, masks
+
+
+@settings(max_examples=400, deadline=None)
+@given(arbitrary_classical_families())
+def test_is_topology_on_arbitrary_families(instance):
+    n, carrier, masks = instance
+    opens, on = [FinSet(n, m) for m in masks], FinSet(n, carrier)
+    assert is_topology(opens, n, on) == oracles.is_topology(opens, n, on), instance
+
+
+def soft_set_of_flat(flat: int, n: int, p: int) -> SoftSet:
+    full = (1 << n) - 1
+    return SoftSet(tuple(FinSet(n, flat >> (t * n) & full) for t in range(p)))
+
+
+def test_is_soft_topology_on_every_family_of_a_3_cell_carrier():
+    """The ambient has sections {x0, x1} and {x1}, three cells.  All 256
+    families of its 8 soft subsets; as the check works on the cells, the
+    topologies among them are the 29 topologies on 3 points."""
+    ambient = SoftSet.of([[0, 1], [1]], 2)
+    subsets = [soft_set_of_flat(f, 2, 2) for f in range(16) if not f & 0b0100]
+    assert len(subsets) == 8
+    verdicts = Counter()
+    for choice in range(1 << len(subsets)):
+        family = [h for i, h in enumerate(subsets) if choice >> i & 1]
+        holds = is_soft_topology(family, ambient)
+        assert holds == oracles.is_soft_topology(family, ambient), choice
+        verdicts[holds] += 1
+    assert verdicts == {True: 29, False: 227}
+    outside = SoftSet.of([[0], [0]], 2)
+    for check in (is_soft_topology, oracles.is_soft_topology):
+        with pytest.raises(InputError):
+            check([SoftSet.null(2, 2), ambient, outside], ambient)
+
+
+@st.composite
+def soft_families(draw):
+    """Families on the full 2x2 or 3x2 carrier: random soft subsets, with
+    or without the null and the full soft set, and closed under soft union
+    and intersection or not, so that both verdicts occur."""
+    n, p = draw(st.sampled_from([(2, 2), (3, 2)]))
+    whole = (1 << n * p) - 1
+    flats = set(draw(st.lists(st.integers(0, whole), max_size=6)))
+    if draw(st.booleans()):
+        flats |= {0, whole}
+    if draw(st.booleans()):
+        while True:
+            more = {a | b for a in flats for b in flats}
+            more |= {a & b for a in flats for b in flats}
+            if more <= flats:
+                break
+            flats |= more
+    ambient = SoftSet.of([range(n)] * p, n)
+    return ambient, [soft_set_of_flat(f, n, p) for f in sorted(flats)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(soft_families())
+def test_is_soft_topology_on_arbitrary_families(instance):
+    ambient, family = instance
+    holds = is_soft_topology(family, ambient)
+    assert holds == oracles.is_soft_topology(family, ambient), instance
+
+
+@st.composite
+def subbases(draw):
+    """A carrier of up to 5 points, maybe empty or proper, and a subbase
+    inside it."""
+    n = draw(st.integers(1, 5))
+    carrier = draw(st.integers(0, (1 << n) - 1))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    return n, carrier, [m & carrier for m in masks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(subbases())
+def test_generate_topology_against_fixed_point(instance):
+    n, carrier, masks = instance
+    subbase, on = [FinSet(n, m) for m in masks], FinSet(n, carrier)
+    assert generate_topology(subbase, n, on) == oracles.generate_topology(
+        subbase, n, on
+    ), instance
+
+
+def test_generate_topology_refuses_a_member_outside_the_carrier():
+    subbase, on = [FinSet(3, 0b011)], FinSet(3, 0b110)
+    for generate in (generate_topology, oracles.generate_topology):
+        with pytest.raises(InputError):
+            generate(subbase, 3, on)
+
+
+def test_is_canonical_on_pools():
+    """Every entry of the 2x2 and 3x1 pools and a seeded sample of 200
+    entries of the 3x2 pool: counting the opens of the enlargement agrees
+    with building it, and both verdicts occur."""
+    rng = rng_for("oracle-equivalence-canonical")
+    pool_3x2 = candidate_soft_topologies(3, 2)
+    taus = candidate_soft_topologies(2, 2) + candidate_soft_topologies(3, 1)
+    taus += rng.sample(pool_3x2, 200)
+    verdicts = Counter()
+    for tau in taus:
+        holds = is_canonical(tau)
+        assert holds == oracles.is_canonical(tau), tau.opens
+        verdicts[holds] += 1
+    assert verdicts[True] and verdicts[False], verdicts

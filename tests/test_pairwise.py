@@ -30,7 +30,7 @@ from softbitop import (
     search_counterexamples,
     verify_theorems,
 )
-from softbitop import softtop
+from softbitop import pairwise, softtop
 from softbitop.pairwise import candidate_soft_topologies
 
 SQUARE = SoftSet.of([[0, 1], [0, 1]], 2)
@@ -370,8 +370,8 @@ def test_search_deterministic():
 
 @pytest.mark.parametrize("bounds, built", [((2, 2), 31), ((3, 1), 37)])
 def test_search_shares_element_spaces(monkeypatch, bounds, built):
-    """One element space per shape (n, p), shared by every pair's space
-    and induced family, plus one per pool topology for its least opens."""
+    """One element space per shape (n, p), shared by every pair and
+    induced family, plus one per pool topology for its least opens."""
     shapes = [(n, p) for n in range(1, bounds[0] + 1) for p in range(1, bounds[1] + 1)]
     assert len(shapes) + sum(len(candidate_soft_topologies(*s)) for s in shapes) == built
     count = Counter()
@@ -384,6 +384,32 @@ def test_search_shares_element_spaces(monkeypatch, bounds, built):
     monkeypatch.setattr(ElementSpace, "__init__", counting)
     search_counterexamples(*bounds)
     assert count["built"] == built
+
+
+def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
+    """The pairs are decided on the pool's entries, so no pair builds a
+    SoftBitopSpace, and class (ii) counts the opens of each enlargement
+    instead of building it: past the pools themselves, no canonical
+    product is built."""
+    count = Counter()
+    post_init = SoftBitopSpace.__post_init__
+    canonical = softtop.canonical_topology
+
+    def counting_space(self):
+        count["spaces"] += 1
+        post_init(self)
+
+    def counting_canonical(*args):
+        count["canonical"] += 1
+        return canonical(*args)
+
+    pools = sum(len(enumerate_topologies(n)) ** p for n in (1, 2) for p in (1, 2))
+    monkeypatch.setattr(SoftBitopSpace, "__post_init__", counting_space)
+    monkeypatch.setattr(softtop, "canonical_topology", counting_canonical)
+    monkeypatch.setattr(pairwise, "canonical_topology", counting_canonical)
+    result = search_counterexamples(2, 2)
+    assert len(result.strict_enlargements) == 5
+    assert count == {"canonical": pools}
 
 
 def test_search_capacity_guard():
