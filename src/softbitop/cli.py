@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import prod
 from typing import Optional, Sequence
 
@@ -377,7 +378,11 @@ def cmd_search(max_universe: int, max_params: int, as_json: bool, out) -> int:
         "strict_enlargements": list(result.strict_enlargements),
     }
     if as_json:
-        print(json.dumps(report, indent=2), file=out)
+        # The chunks json.dumps would join, in blocks: 3x2 gives 285 MB.
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        while block := "".join(islice(chunks, 1 << 16)):
+            out.write(block)
+        print(file=out)
     else:
         print("command: search", file=out)
         print(

@@ -5,8 +5,9 @@ an exhaustive counterexample search on small carriers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
-from itertools import product
+from functools import cache, cached_property, reduce
+from itertools import chain, product
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
@@ -26,7 +27,6 @@ from .softsets import (
     check_filtration_guard,
     flat_soft_set,
     soft_subset,
-    soft_union,
 )
 from .softtop import (
     SEFamily,
@@ -240,15 +240,12 @@ def is_pairwise_soft_cover(cover: SoftCover) -> Verdict:
     for idx, (member, prov) in enumerate(cover.members):
         if not _member_is_open(cover.space, member, prov):
             return Verdict(False, idx, f"member {idx} is not open in {prov}")
-    f = cover.space.soft_set
-    for t in range(f.param_count):
-        union = 0
-        for member, _ in cover.members:
-            union |= member.section(t).mask
-        missing = cover.target.section(t).mask & ~union
-        if missing:
-            point = (missing & -missing).bit_length() - 1
-            return Verdict(False, (t, point), "uncovered point at parameter")
+    union = reduce(or_, (flat_soft_set(m) for m, _ in cover.members), 0)
+    missing = flat_soft_set(cover.target) & ~union
+    if missing:
+        cell = (missing & -missing).bit_length() - 1
+        n = cover.target.universe_size
+        return Verdict(False, divmod(cell, n), "uncovered point at parameter")
     return Verdict(True)
 
 
@@ -412,7 +409,7 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     enlargement_ok = True
     for tau, ind_fam in ((space.tau1, ind1), (space.tau2, ind2)):
         can = canonical_enlargement(tau)
-        if not all(can.contains(h) for h in tau.opens):
+        if not can.flat_open_set.issuperset(tau.flat_opens):
             enlargement_ok = False
         if can.components != tau.components:
             enlargement_ok = False
@@ -442,14 +439,12 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     )
     cover = SoftCover(space, space.soft_set, all_opens)
     sub = find_finite_subcover(cover)
-    sub_union = SoftSet.null(p, space.soft_set.universe_size)
-    for member, _ in sub:
-        sub_union = soft_union(sub_union, member)
+    sub_union = reduce(or_, (flat_soft_set(m) for m, _ in sub), 0)
     checks.append(
         TheoremCheck(
             "finite-params-subcover-exists",
             True,
-            soft_subset(space.soft_set, sub_union),
+            flat_soft_set(space.soft_set) & ~sub_union == 0,
             f"subcover size {len(sub)}",
         )
     )
@@ -511,20 +506,12 @@ def candidate_soft_topologies(n: int, p: int) -> list[SoftTopology]:
     product, deduplicated in first-seen order."""
     ambient = SoftSet.of([range(n)] * p, n)
     topos = enumerate_topologies(n)
-    pool: list[SoftTopology] = []
-    seen = set()
-
-    def add(tau: SoftTopology) -> None:
-        key = tuple(h.key for h in tau.opens)
-        if key not in seen:
-            seen.add(key)
-            pool.append(tau)
-
-    for sigma in topos:
-        add(_diagonal_lift(ambient, sigma.opens))
-    for sigmas in product(topos, repeat=p):
-        add(canonical_topology(ambient, list(sigmas)))
-    return pool
+    lifts = (_diagonal_lift(ambient, sigma.opens) for sigma in topos)
+    products = (canonical_topology(ambient, s) for s in product(topos, repeat=p))
+    pool: dict[tuple[int, ...], SoftTopology] = {}
+    for tau in chain(lifts, products):
+        pool.setdefault(tau.flat_opens, tau)
+    return list(pool.values())
 
 
 @dataclass(frozen=True)

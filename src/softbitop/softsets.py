@@ -86,8 +86,10 @@ class SoftSet:
 
 def flat_soft_set(h: SoftSet) -> int:
     """All sections of h in one int, section t shifted by t * universe_size."""
-    n = h.universe_size
-    return sum(s.mask << (t * n) for t, s in enumerate(h.sections))
+    n, out = h.universe_size, 0
+    for s in reversed(h.sections):
+        out = out << n | s.mask
+    return out
 
 
 def _check_shapes(a: SoftSet, b: SoftSet) -> None:

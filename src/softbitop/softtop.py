@@ -6,7 +6,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import compress, product
+from itertools import compress
 from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -43,32 +43,46 @@ def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
 
 @dataclass(frozen=True)
 class SoftTopology:
-    """A validated soft topology; opens deduplicated and sorted by key."""
+    """A validated soft topology, its opens held flat (`flat_soft_set`),
+    deduplicated and in key order: by section masks, section 0 first."""
 
     ambient: SoftSet
-    opens: tuple[SoftSet, ...]
+    flat_opens: tuple[int, ...]
 
     @classmethod
     def build(cls, opens: Iterable[SoftSet], ambient: SoftSet) -> "SoftTopology":
         opens = list(opens)
         if not is_soft_topology(opens, ambient):
             raise InputError("family is not a soft topology on the ambient")
-        return cls(ambient, _canonical_family(opens))
+        by_key = {h.key: flat_soft_set(h) for h in opens}
+        return cls(ambient, tuple(by_key[k] for k in sorted(by_key)))
 
     @cached_property
-    def _keys(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(h.key for h in self.opens)
+    def opens(self) -> tuple[SoftSet, ...]:
+        """The opens as soft sets, in the order of `flat_opens`, built on
+        first use.  Opens with equal t-sections share one FinSet."""
+        n = self.ambient.universe_size
+        full, columns = (1 << n) - 1, []
+        for t in range(self.ambient.param_count):
+            masks = [f >> t * n & full for f in self.flat_opens]
+            sections = {m: FinSet(n, m) for m in set(masks)}
+            columns.append(map(sections.__getitem__, masks))
+        return tuple(map(SoftSet, zip(*columns)))
+
+    @cached_property
+    def flat_open_set(self) -> frozenset[int]:
+        """The flat opens as a set, for membership tests."""
+        return frozenset(self.flat_opens)
 
     def contains(self, h: SoftSet) -> bool:
-        return h.key in self._keys
+        a = self.ambient
+        if h.param_count != a.param_count or h.universe_size != a.universe_size:
+            return False
+        return flat_soft_set(h) in self.flat_open_set
 
     @cached_property
     def _space(self) -> ElementSpace:
         return ElementSpace(self.ambient)
-
-    @cached_property
-    def _flat_opens(self) -> tuple[int, ...]:
-        return tuple(flat_soft_set(h) for h in self.opens)
 
     @cached_property
     def least_opens(self) -> tuple[int, ...]:
@@ -81,9 +95,8 @@ class SoftTopology:
         finite intersections, so N(a) is itself open: the least open
         containing a.  The ambient is open, so every a has one.
         """
-        opens = self._flat_opens
         return tuple(
-            reduce(and_, [h for h in opens if h & a == a])
+            reduce(and_, [h for h in self.flat_opens if h & a == a])
             for a in self._space.flat_elements
         )
 
@@ -96,8 +109,7 @@ class SoftTopology:
         the largest open missing c, and N(j) misses c iff j lies in G.
         holders[c] is the complement of the elements inside G.
         """
-        space = self._space
-        opens = self._flat_opens
+        space, opens = self._space, self.flat_opens
         every = (1 << space.size) - 1
         cells = self.ambient.param_count * self.ambient.universe_size
         return tuple(
@@ -116,18 +128,13 @@ class SoftTopology:
         return canonical_topology(self.ambient, self.components)
 
     def __len__(self) -> int:
-        return len(self.opens)
-
-
-def _canonical_family(opens: Iterable[SoftSet]) -> tuple[SoftSet, ...]:
-    by_key = {h.key: h for h in opens}
-    return tuple(by_key[k] for k in sorted(by_key))
+        return len(self.flat_opens)
 
 
 def _build_component(tau: SoftTopology, t: int) -> ClassicalTopology:
     carrier = tau.ambient.section(t)
     n = tau.ambient.universe_size
-    sections = {h.section(t).mask for h in tau.opens}
+    sections = {f >> t * n & (1 << n) - 1 for f in tau.flat_opens}
     topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(sections)))
     # Sectioning a soft topology always yields a topology; anything else
     # is a bug upstream.
@@ -147,8 +154,9 @@ def canonical_topology(
     """All soft subsets whose t-section is open in sigmas[t], for every t."""
     if len(sigmas) != ambient.param_count:
         raise InputError("need one topology per parameter")
+    n = ambient.universe_size
     for t, sigma in enumerate(sigmas):
-        if sigma.universe_size != ambient.universe_size:
+        if sigma.universe_size != n or any(o.universe_size != n for o in sigma.opens):
             raise InputError("component topology universe mismatch")
         if sigma.carrier != ambient.section(t):
             raise InputError(f"component topology at {t} must live on the section")
@@ -158,8 +166,13 @@ def canonical_topology(
             f"canonical topology would have {count} opens; guard is "
             f"{CANONICAL_PRODUCT_LIMIT}"
         )
-    opens = [SoftSet(choice) for choice in product(*(s.opens for s in sigmas))]
-    return SoftTopology(ambient, _canonical_family(opens))
+    # The product of sorted, distinct component masks, section 0
+    # outermost, comes out distinct and in key order.
+    flat = [0]
+    for t, sigma in enumerate(sigmas):
+        shifted = [m << t * n for m in sorted(set(sigma.open_masks))]
+        flat = [f | m for f in flat for m in shifted]
+    return SoftTopology(ambient, tuple(flat))
 
 
 def canonical_enlargement(tau: SoftTopology) -> SoftTopology:

@@ -21,6 +21,13 @@ smallest first.  The library runs all three through one pruned kernel;
 the same test module checks that both give the same subcover, or fail
 the same way.
 
+`canonical_opens` is the former canonical product of `softbitop.softtop`:
+one `SoftSet` per element of the product of the component opens, then
+deduplicated and sorted by key (`canonical_family`, which also stood
+behind `SoftTopology.build`).  The library builds the flat opens as ORs
+of shifted component masks, already in key order, and builds the
+`SoftSet` objects only when `SoftTopology.opens` is read.
+
 `as_classical` is the former view of an induced family as a topology
 over soft-element indices, with the former scan for its minimal members
 (members visited by size; a member is minimal at a point iff no minimal
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, product
 from operator import and_
 from typing import Iterable, Optional, Sequence
 
@@ -168,6 +175,20 @@ def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
 
 def is_canonical(tau: SoftTopology) -> bool:
     return tau.opens == tau.enlargement.opens
+
+
+def canonical_family(opens: Iterable[SoftSet]) -> tuple[SoftSet, ...]:
+    """The opens deduplicated and sorted by key."""
+    by_key = {h.key: h for h in opens}
+    return tuple(by_key[k] for k in sorted(by_key))
+
+
+def canonical_opens(sigmas: Sequence[ClassicalTopology]) -> tuple[SoftSet, ...]:
+    """The opens of the canonical topology on sigmas: one SoftSet per
+    element of the product of the component opens, then deduplicated and
+    sorted by key."""
+    product_opens = product(*(sigma.opens for sigma in sigmas))
+    return canonical_family(SoftSet(choice) for choice in product_opens)
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:

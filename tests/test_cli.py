@@ -16,7 +16,7 @@ from conftest import (
     write_16_soft_element_space,
     write_20_soft_element_space,
 )
-from softbitop import SoftTopology, canonical_topology
+from softbitop import SoftTopology, canonical_topology, search_counterexamples
 from softbitop import cli
 from softbitop.cli import main, parse_space
 
@@ -274,6 +274,24 @@ def test_search_deterministic_across_runs(capsys):
     _, first, _ = run_cli(capsys, "search", "--json")
     _, second, _ = run_cli(capsys, "search", "--json")
     assert first == second
+
+
+@pytest.mark.parametrize("bounds", [(2, 2), (3, 1)])
+def test_search_json_is_streamed_as_one_dump(capsys, bounds):
+    n, p = bounds
+    code, out, _ = run_cli(
+        capsys, "search", "--json", "--max-universe", str(n), "--max-params", str(p)
+    )
+    result = search_counterexamples(n, p)
+    report = {
+        "command": "search",
+        "max_universe": n,
+        "max_params": p,
+        "not_t0_but_induced_t2": list(result.not_t0_but_induced_t2),
+        "strict_enlargements": list(result.strict_enlargements),
+    }
+    assert code == 0
+    assert out == json.dumps(report, indent=2) + "\n"
 
 
 def test_search_capacity_exit(capsys):

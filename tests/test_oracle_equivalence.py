@@ -19,7 +19,9 @@ with the test of every pair of members: exhaustively on 3- and 4-point
 carriers and on a 3-cell soft carrier, and with hypothesis beyond.
 `generate_topology` must give what the fixed-point closure gives, and
 `is_canonical`, which counts the opens of the enlargement, what comparing
-with the built enlargement gives.
+with the built enlargement gives.  The flat canonical product must give
+the opens of the product of `SoftSet` objects sorted by key, and
+`SoftTopology.build` the family sorted by key.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from conftest import (
 )
 from softbitop import (
     BitopPair,
+    ClassicalTopology,
     CofiniteSoftSet,
     FinSet,
     InputError,
@@ -53,6 +56,7 @@ from softbitop import (
     SoftBitopSpace,
     SoftCover,
     SoftSet,
+    SoftTopology,
     TemplateFamily,
     canonical_topology,
     check_finest_open_projections,
@@ -75,6 +79,7 @@ from softbitop import (
 )
 from softbitop.finsets import is_topology_masks
 from softbitop.pairwise import candidate_soft_topologies
+from softbitop.softsets import flat_soft_set
 
 CLASSICAL = (
     (pairwise_t0, oracles.pairwise_t0),
@@ -727,3 +732,57 @@ def test_is_canonical_on_pools():
         assert holds == oracles.is_canonical(tau), tau.opens
         verdicts[holds] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def _raw_shuffled(sigma):
+    """sigma through the raw constructor, its opens unsorted and doubled."""
+    return ClassicalTopology(sigma.universe_size, sigma.carrier, sigma.opens[::-1] * 2)
+
+
+def test_canonical_topology_against_softset_product():
+    """Every ordered pair of labelled topologies on 1-3 points x 2
+    parameters, each also built through the raw constructor with unsorted
+    and duplicate opens: the flat product gives the opens, and the flat
+    opens, of the product of SoftSet objects re-keyed and sorted."""
+    for n in (1, 2, 3):
+        ambient = SoftSet.of([range(n)] * 2, n)
+        topos = enumerate_topologies(n)
+        for pair in product(topos + [_raw_shuffled(s) for s in topos], repeat=2):
+            expected = oracles.canonical_opens(pair)
+            tau = canonical_topology(ambient, pair)
+            assert tau.flat_opens == tuple(map(flat_soft_set, expected)), pair
+            assert tau.opens == expected, pair
+
+
+@st.composite
+def soft_topology_families(draw):
+    """A soft topology on a carrier of up to 3 points x 3 parameters, as a
+    list of soft sets with duplicates, in any order."""
+    n, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sections = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=p, max_size=p))
+    ambient = SoftSet(tuple(FinSet(n, m) for m in sections))
+    whole = flat_soft_set(ambient)
+    drawn = draw(st.lists(st.integers(0, whole), max_size=4))
+    flats = {0, whole} | {f & whole for f in drawn}
+    while True:
+        closed = flats | {a | b for a in flats for b in flats}
+        closed |= {a & b for a in closed for b in closed}
+        if closed == flats:
+            break
+        flats = closed
+    full = (1 << n) - 1
+    opens = [
+        SoftSet(tuple(FinSet(n, f >> t * n & full) for t in range(p))) for f in flats
+    ]
+    opens += draw(st.lists(st.sampled_from(opens), max_size=4))
+    return ambient, draw(st.permutations(opens))
+
+
+@settings(max_examples=300, deadline=None)
+@given(soft_topology_families())
+def test_soft_topology_build_against_sorting_by_key(instance):
+    ambient, opens = instance
+    expected = oracles.canonical_family(opens)
+    tau = SoftTopology.build(opens, ambient)
+    assert tau.flat_opens == tuple(map(flat_soft_set, expected)), opens
+    assert tau.opens == expected, opens

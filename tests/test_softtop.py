@@ -121,9 +121,9 @@ def test_component_of_a_non_topology_is_refused():
     # Built without validation: the 0-sections {0,1} and {1,2} meet in
     # {1}, which is no section, so sectioning cannot give a topology.
     ambient = SoftSet.of([[0, 1, 2]], 3)
-    opens = [SoftSet.of([ms], 3) for ms in ([], [0, 1], [1, 2], [0, 1, 2])]
+    opens = (0b000, 0b011, 0b110, 0b111)
     with pytest.raises(AssertionError):
-        component_topology(SoftTopology(ambient, tuple(opens)), 0)
+        component_topology(SoftTopology(ambient, opens), 0)
 
 
 # ---------------------------------------------------------------- canonical
@@ -147,6 +147,28 @@ def test_canonical_topology_is_soft_topology():
 def test_canonical_topology_validates_carriers():
     with pytest.raises(InputError):
         canonical_topology(SoftSet.of([[0]], 2), [indiscrete(2)])
+    # An open of another universe, past the raw constructor.
+    odd = ClassicalTopology(2, FinSet.full(2), (FinSet.empty(3), FinSet.full(2)))
+    with pytest.raises(InputError):
+        canonical_topology(SoftSet.of([[0, 1]], 2), [odd])
+
+
+def test_canonical_topology_builds_no_soft_set_until_opens_are_read():
+    ambient = SoftSet.of([range(8)] * 2, 8)
+    tau = canonical_topology(ambient, [discrete(8), discrete(8)])
+    assert len(tau) == 1 << 16
+    assert tau.contains(ambient)
+    assert tau.components == (discrete(8), discrete(8))
+    assert len(tau.least_opens) == 64 and len(tau.holders) == 16
+    assert "opens" not in tau.__dict__
+
+
+def test_contains_refuses_a_soft_set_of_another_shape():
+    tau = canonical_topology(SQUARE, [discrete(2), discrete(2)])
+    # Each flat form equals that of an open: ({0,1},{0,1}), ({0,1},{1}).
+    assert tau.contains(SQUARE)
+    assert not tau.contains(SoftSet.of([[0, 1], [0, 1], []], 2))
+    assert not tau.contains(SoftSet.of([[0, 1], [0]], 3))
 
 
 def test_canonical_enlargement_of_indiscrete():
