@@ -58,6 +58,17 @@ class Verdict:
 
 
 @dataclass(frozen=True)
+class Separation:
+    """Every separation verdict of one space: pairwise soft T0/T1/T2 with
+    their witnesses, T0/T1/T2 of the component pair at each parameter,
+    and T0/T1/T2 of the induced pair."""
+
+    soft: tuple[Verdict, Verdict, Verdict]
+    components: tuple[tuple[bool, bool, bool], ...]
+    induced: tuple[bool, bool, bool]
+
+
+@dataclass(frozen=True)
 class SoftBitopSpace:
     """A soft set carrying an ordered pair of soft topologies.
 
@@ -87,10 +98,19 @@ class SoftBitopSpace:
         return tuple(induced_topology(tau, self.space) for tau in taus)
 
     @cached_property
-    def induced_pair(self) -> BitopPair:
-        """The two induced families as a pair, so every decider shares
-        their cached tables and minimal members."""
-        return BitopPair(*self.induced)
+    def separation(self) -> Separation:
+        """Every separation verdict, each decider run once, shared by
+        `check` and `verify_theorems`.  The induced verdicts need the
+        filtration, so a space past its guard is refused first."""
+        check_filtration_guard(self.space.size)
+        soft = (pairwise_soft_t0(self), pairwise_soft_t1(self), pairwise_soft_t2(self))
+
+        def verdicts(pair: BitopPair) -> tuple[bool, bool, bool]:
+            return pairwise_t0(pair)[0], pairwise_t1(pair)[0], pairwise_t2(pair)[0]
+
+        p = self.soft_set.param_count
+        components = tuple(verdicts(component_bitop(self, t)) for t in range(p))
+        return Separation(soft, components, verdicts(induced_bitop(self)))
 
 
 # The soft deciders test least soft opens (SoftTopology.least_opens)
@@ -205,7 +225,7 @@ def component_bitop(space: SoftBitopSpace, t: int) -> BitopPair:
 
 def induced_bitop(space: SoftBitopSpace) -> BitopPair:
     """The pair of induced families, over soft-element indices."""
-    return space.induced_pair
+    return BitopPair(*space.induced)
 
 
 @dataclass(frozen=True)
@@ -225,13 +245,11 @@ class SoftCover:
 
 
 def _member_is_open(space: SoftBitopSpace, member: SoftSet, prov: str) -> bool:
-    in1 = space.tau1.contains(member)
-    in2 = space.tau2.contains(member)
     if prov == "tau1":
-        return in1
+        return space.tau1.contains(member)
     if prov == "tau2":
-        return in2
-    return in1 and in2
+        return space.tau2.contains(member)
+    return space.tau1.contains(member) and space.tau2.contains(member)
 
 
 def is_pairwise_soft_cover(cover: SoftCover) -> Verdict:
@@ -280,9 +298,9 @@ def cylinder(
 ) -> Cylinder:
     """The soft set equal to v at t0 and to the full section elsewhere.
 
-    v must be open in the tagged side's component topology at t0.  When
-    the tagged topology is canonical the cylinder is guaranteed (and
-    asserted) to be one of its opens; otherwise membership is reported.
+    v must be open in the tagged side's component topology at t0.  The
+    cylinder's membership in the tagged topology is reported; when that
+    topology is canonical it is one of its opens.
     """
     if provenance not in ("tau1", "tau2"):
         raise InputError("provenance must be 'tau1' or 'tau2'")
@@ -293,10 +311,7 @@ def cylinder(
     sections = list(space.soft_set.sections)
     sections[t0] = v
     cyl = SoftSet(tuple(sections))
-    member = tau.contains(cyl)
-    if is_canonical(tau):
-        assert member, "cylinders over a canonical topology are open"
-    return Cylinder(cyl, member)
+    return Cylinder(cyl, tau.contains(cyl))
 
 
 @dataclass(frozen=True)
@@ -328,29 +343,14 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     soft disjointness needs an empty intersection at every parameter.  A
     FAIL on any other row indicates an implementation bug.
     """
-    # Every row below the soft ones needs the induced families, so a space
-    # past the filtration guard is refused before anything is decided.
-    check_filtration_guard(space.space.size)
+    # `separation` refuses a space past the filtration guard before
+    # anything is decided.
+    sep = space.separation
     checks: list[TheoremCheck] = []
     p = space.soft_set.param_count
-
-    soft = {
-        0: pairwise_soft_t0(space),
-        1: pairwise_soft_t1(space),
-        2: pairwise_soft_t2(space),
-    }
-    comp_pairs = [component_bitop(space, t) for t in range(p)]
-    comp = {
-        j: all(dec(bp)[0] for bp in comp_pairs)
-        for j, dec in ((0, pairwise_t0), (1, pairwise_t1), (2, pairwise_t2))
-    }
+    soft, ind = [v.holds for v in sep.soft], sep.induced
+    comp = [all(c[j] for c in sep.components) for j in range(3)]
     ind1, ind2 = space.induced
-    ind_pair = space.induced_pair
-    ind = {
-        0: pairwise_t0(ind_pair)[0],
-        1: pairwise_t1(ind_pair)[0],
-        2: pairwise_t2(ind_pair)[0],
-    }
     canonical = is_canonical(space.tau1) and is_canonical(space.tau2)
 
     def implication(name: str, ante: bool, cons: bool, applicable: bool = True):
@@ -363,25 +363,25 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
             )
         )
 
-    implication("soft-t2-implies-soft-t1", soft[2].holds, soft[1].holds)
-    implication("soft-t1-implies-soft-t0", soft[1].holds, soft[0].holds)
+    implication("soft-t2-implies-soft-t1", soft[2], soft[1])
+    implication("soft-t1-implies-soft-t0", soft[1], soft[0])
     for j in (0, 1, 2):
-        implication(f"soft-t{j}-implies-component-t{j}", soft[j].holds, comp[j])
+        implication(f"soft-t{j}-implies-component-t{j}", soft[j], comp[j])
         implication(
             f"component-t{j}-implies-soft-t{j}-on-canonical",
             comp[j],
-            soft[j].holds,
+            soft[j],
             applicable=canonical,
         )
         checks.append(
             TheoremCheck(
                 f"canonical-componentwise-equivalence-t{j}",
                 canonical,
-                (not canonical) or (comp[j] == soft[j].holds),
-                f"component={comp[j]} soft={soft[j].holds}" if canonical else "",
+                (not canonical) or (comp[j] == soft[j]),
+                f"component={comp[j]} soft={soft[j]}" if canonical else "",
             )
         )
-        implication(f"soft-t{j}-implies-induced-t{j}", soft[j].holds, ind[j])
+        implication(f"soft-t{j}-implies-induced-t{j}", soft[j], ind[j])
 
     # Only union closure is a theorem here: the induced family need not
     # be intersection-closed.
@@ -460,11 +460,11 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
                     (cylinder(space, t, v, prov).soft_set, prov)
                     for v in comp_topo.opens
                 )
-                ccover = SoftCover(space, space.soft_set, cyls)
-                if not is_pairwise_soft_cover(ccover).holds:
+                try:
+                    csub = find_finite_subcover(SoftCover(space, space.soft_set, cyls))
+                except NotACoverError:
                     transport_ok = False
                     continue
-                csub = find_finite_subcover(ccover)
                 sec_union = 0
                 for member, _ in csub:
                     sec_union |= member.section(t).mask
@@ -479,7 +479,7 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     )
 
     note = ""
-    if not soft[0].holds and ind[2]:
+    if not soft[0] and ind[2]:
         note = (
             "induced pair is pairwise t2 while the space is not pairwise "
             "soft t0: converse fails on this space, as expected"

@@ -312,6 +312,19 @@ class SEFamily:
                 bits &= bits - 1
         return tuple(map(tuple, out))
 
+    @cached_property
+    def sections(self) -> tuple[frozenset[int], ...]:
+        """For each parameter t, the masks of the members' t-sections,
+        read once from `ElementSpace.flat_sections` (under its filtration
+        guard)."""
+        n = self.space.soft_set.universe_size
+        full = (1 << n) - 1
+        flat = list(map(self.space.flat_sections.__getitem__, self.masks))
+        return tuple(
+            frozenset({f >> t * n & full for f in flat})
+            for t in range(self.space.soft_set.param_count)
+        )
+
     def union_closed(self) -> bool:
         """Holds the empty and the full subset and is closed under unions.
 
@@ -372,16 +385,13 @@ def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> boo
     required to satisfy the topology axioms: the induced family itself is
     not intersection-closed in general (sections of an intersection can
     be strictly smaller than intersections of sections), so demanding
-    them would reject the most important candidate.  Sections are read
-    from `ElementSpace.flat_sections`, under its filtration guard.
+    them would reject the most important candidate.  The sections are
+    read from `SEFamily.sections`.
     """
-    flat = candidate.space.flat_sections
-    n = tau.ambient.universe_size
-    for t, comp in enumerate(tau.components):
-        sections = {flat[m] >> (t * n) & ((1 << n) - 1) for m in candidate.masks}
-        if not sections <= set(comp.open_masks):
-            return False
-    return True
+    return all(
+        sections.issubset(comp.open_masks)
+        for sections, comp in zip(candidate.sections, tau.components)
+    )
 
 
 @dataclass(frozen=True)
@@ -407,14 +417,10 @@ def reconstruct(u: SEFamily) -> Reconstruction:
         raise InputError("the soft-element list must be nonempty")
     ambient = space.soft_set
     n = ambient.universe_size
-    full = (1 << n) - 1
-    flat = [space.flat_sections[m] for m in u.masks]
-    sigmas = []
-    for t in range(ambient.param_count):
-        subbase = [FinSet(n, m) for m in {f >> (t * n) & full for f in flat}]
-        sigmas.append(generate_topology(subbase, n, carrier=ambient.section(t)))
+    sigmas = tuple(
+        generate_topology([FinSet(n, m) for m in masks], n, carrier=ambient.section(t))
+        for t, masks in enumerate(u.sections)
+    )
     tau_hat = canonical_topology(ambient, sigmas)
     induced = induced_topology(tau_hat, space)
-    contained = induced._mask_set.issuperset(u.masks)
-    assert contained, "reconstruction must contain its input family"
-    return Reconstruction(tuple(sigmas), tau_hat, contained)
+    return Reconstruction(sigmas, tau_hat, induced._mask_set.issuperset(u.masks))

@@ -4,6 +4,7 @@ given size, and the large input documents of the CLI tests."""
 from __future__ import annotations
 
 import json
+import pathlib
 import random
 
 from softbitop import (
@@ -18,6 +19,7 @@ from softbitop import (
 )
 
 DEFAULT_SEED = 20240817
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def rng_for(name: str, seed: int = DEFAULT_SEED) -> random.Random:
@@ -118,21 +120,5 @@ def write_20_soft_element_space(tmp_path) -> str:
     """5 points x 2 parameters with sections of 5 and 4 points: 20 soft
     elements, the filtration guard.  Both topologies are canonical from
     subbases: tau1 has a1 {u0}, {u1,u2} and a2 {u0}; tau2 has a1 {u1},
-    {u3,u4} and a2 {u1,u2}."""
-    universe = ["u0", "u1", "u2", "u3", "u4"]
-    doc = {
-        "universe": universe,
-        "params": ["a1", "a2"],
-        "sections": {"a1": universe, "a2": universe[:4]},
-        "topologies": [
-            {
-                "generate": "canonical",
-                "subbases": {"a1": [["u0"], ["u1", "u2"]], "a2": [["u0"]]},
-            },
-            {
-                "generate": "canonical",
-                "subbases": {"a1": [["u1"], ["u3", "u4"]], "a2": [["u1", "u2"]]},
-            },
-        ],
-    }
-    return _write_doc(tmp_path, doc)
+    {u3,u4} and a2 {u1,u2}.  The document is `fixtures/se20_a.json`."""
+    return _write_doc(tmp_path, json.loads((FIXTURES / "se20_a.json").read_text()))

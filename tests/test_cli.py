@@ -16,8 +16,13 @@ from conftest import (
     write_16_soft_element_space,
     write_20_soft_element_space,
 )
-from softbitop import SoftTopology, canonical_topology, search_counterexamples
-from softbitop import cli
+from softbitop import (
+    BitopPair,
+    SoftTopology,
+    canonical_topology,
+    search_counterexamples,
+)
+from softbitop import cli, finsets, pairwise, softtop
 from softbitop.cli import main, parse_space
 
 HERE = pathlib.Path(__file__).parent
@@ -106,6 +111,39 @@ def test_check_20_soft_elements(capsys, tmp_path):
         "component[a2]: t0=false t1=false t2=false",
         "induced: t0=true t1=true t2=true",
     ]
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_each_decider_runs_once(capsys, monkeypatch, command):
+    """Both commands read one `SoftBitopSpace.separation`: each soft
+    decider runs once, and each classical decider once on the induced
+    pair and once on the component pair of each of the two parameters."""
+    calls = Counter()
+    for name in (
+        "pairwise_soft_t0",
+        "pairwise_soft_t1",
+        "pairwise_soft_t2",
+        "pairwise_t0",
+        "pairwise_t1",
+        "pairwise_t2",
+    ):
+        original = getattr(pairwise, name)
+
+        def counting(arg, name=name, original=original):
+            kind = type(arg.first).__name__ if isinstance(arg, BitopPair) else "soft"
+            calls[name, kind] += 1
+            return original(arg)
+
+        for module in (cli, finsets, pairwise):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run_cli(capsys, command, CANONICAL_DISCRETE)
+    assert code == (0 if command == "check" else 1)
+    assert calls == {
+        **{(f"pairwise_soft_t{j}", "soft"): 1 for j in (0, 1, 2)},
+        **{(f"pairwise_t{j}", "SEFamily"): 1 for j in (0, 1, 2)},
+        **{(f"pairwise_t{j}", "ClassicalTopology"): 2 for j in (0, 1, 2)},
+    }
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])
@@ -209,6 +247,60 @@ def test_verify_16_soft_elements(capsys, tmp_path):
         "FAIL canonical-componentwise-equivalence-t2  [component=True soft=False]",
     ]
     assert "PASS induced-families-union-closed" in out
+
+
+def test_verify_20_soft_elements(capsys, tmp_path):
+    """The full report at the filtration guard.  The space is canonical
+    and neither soft nor componentwise T0, while its induced pair is T2,
+    so every row passes."""
+    code, out, _ = run_cli(capsys, "verify", write_20_soft_element_space(tmp_path))
+    assert code == 0
+    lines = ["command: verify"]
+    plain = "antecedent=False consequent=False"
+    lines += [
+        f"PASS soft-t2-implies-soft-t1  [{plain}]",
+        f"PASS soft-t1-implies-soft-t0  [{plain}]",
+    ]
+    for j in (0, 1, 2):
+        lines += [
+            f"PASS soft-t{j}-implies-component-t{j}  [{plain}]",
+            f"PASS component-t{j}-implies-soft-t{j}-on-canonical  [{plain}]",
+            f"PASS canonical-componentwise-equivalence-t{j}"
+            "  [component=False soft=False]",
+            f"PASS soft-t{j}-implies-induced-t{j}"
+            "  [antecedent=False consequent=True]",
+        ]
+    lines += [
+        "PASS induced-families-union-closed",
+        "PASS induced-is-finest-with-open-projections",
+        "PASS canonical-enlargement-contains-and-preserves"
+        "  [contains original, same components, same induced topology]",
+        "PASS reconstruction-contains-input",
+        "PASS finite-params-subcover-exists  [subcover size 1]",
+        "PASS cylinder-cover-transport",
+        "PASS induced-separation-may-exceed-soft  [induced pair is pairwise t2"
+        " while the space is not pairwise soft t0: converse fails on this"
+        " space, as expected]",
+    ]
+    assert out.splitlines() == lines
+
+
+def test_verify_reports_a_failed_reconstruction(capsys, monkeypatch):
+    """A reconstruction that does not contain its input is a FAIL row and
+    exit 1, not an exception.  The family reconstruct induces back is cut
+    to its empty member."""
+    induced = softtop.induced_topology
+
+    def cut(tau, space=None):
+        family = induced(tau, space)
+        return softtop.SEFamily(family.space, family.masks[:1])
+
+    monkeypatch.setattr(softtop, "induced_topology", cut)
+    code, out, _ = run_cli(capsys, "verify", INDISCRETE)
+    assert code == 1
+    assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
+        "FAIL reconstruction-contains-input"
+    ]
 
 
 def test_verify_reports_representability(capsys):
@@ -392,6 +484,55 @@ def test_mistyped_input_exit(capsys, tmp_path, doc, command):
     assert code == 2
     assert err.startswith("input error:")
     assert out == ""
+
+
+def with_subbase_typo():
+    """One parameter a1, and a subbase keyed a2."""
+    doc = json.loads(open(CANONICAL_DISCRETE).read())
+    doc["params"] = ["a1"]
+    doc["sections"] = {"a1": ["u0", "u1"]}
+    for topo in doc["topologies"]:
+        topo["subbases"] = {"a1": [["u0"]]}
+    doc["topologies"][1]["subbases"]["a2"] = [["u1"]]
+    return doc
+
+
+def with_extra_key(*path):
+    doc = indiscrete_doc()
+    place = doc
+    for key in path:
+        place = place[key]
+    place["a3"] = []
+    return doc
+
+
+def with_opens_and_generate():
+    doc = indiscrete_doc()
+    doc["topologies"][1]["generate"] = "canonical"
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (with_subbase_typo(), "unknown parameter 'a2' in topologies[1].subbases"),
+        (with_extra_key("sections"), "unknown parameter 'a3' in sections"),
+        (
+            with_extra_key("topologies", 0, "opens", 1),
+            "unknown parameter 'a3' in topologies[0].opens[1]",
+        ),
+        (with_opens_and_generate(), "topologies[1] has both 'opens' and 'generate'"),
+    ],
+    ids=["subbase-typo", "sections", "open", "opens-and-generate"],
+)
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_unknown_parameter_exit(capsys, tmp_path, doc, message, command):
+    """A key that names no parameter, as a typo would, is refused rather
+    than ignored: the typo'd subbase would otherwise run as the indiscrete
+    topology."""
+    code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: {message}\n"), err
 
 
 def test_seed_flag_is_gone(capsys):

@@ -53,6 +53,7 @@ from softbitop import (
     NotACoverError,
     ElementSpace,
     SEFamily,
+    SESubset,
     SoftBitopSpace,
     SoftCover,
     SoftSet,
@@ -508,6 +509,38 @@ def test_induced_paths_on_pool(n, p):
         assert_induced_paths_agree(tau, families)
         verdicts.update(check_finest_open_projections(tau, u) for u in families)
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def assert_sections_agree(family):
+    """SEFamily.sections against a walk over the members, one
+    SESubset.section per member and parameter."""
+    p = family.space.soft_set.param_count
+    walked = tuple(
+        frozenset(SESubset(family.space, m).section(t).mask for m in family.masks)
+        for t in range(p)
+    )
+    assert family.sections == walked, family.masks
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
+def test_family_sections_on_induced_families_of_pool(n, p):
+    pool = candidate_soft_topologies(n, p)
+    space = ElementSpace(pool[0].ambient)
+    for tau in pool:
+        assert_sections_agree(induced_topology(tau, space))
+
+
+def test_family_sections_on_random_carriers():
+    """Induced families, and arbitrary families (the empty one among
+    them), on carriers with non-full and singleton sections."""
+    rng = rng_for("family-sections")
+    for _ in range(60):
+        ambient = random_wide_carrier(rng)
+        space = ElementSpace(ambient)
+        tau = random_soft_topology(rng, ambient)
+        assert_sections_agree(induced_topology(tau, space))
+        masks = {rng.randrange(1 << space.size) for _ in range(rng.randrange(4))}
+        assert_sections_agree(SEFamily(space, tuple(sorted(masks))))
 
 
 def random_wide_carrier(rng):

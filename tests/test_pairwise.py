@@ -239,6 +239,14 @@ def test_cylinder_not_open_in_non_canonical():
     assert not cyl.open_in_tagged
 
 
+def test_cylinder_reports_membership_on_a_canonical_topology(monkeypatch):
+    """Membership is reported as computed, even where the theory says a
+    cylinder over a canonical topology is open."""
+    sp = discrete_space()
+    monkeypatch.setattr(SoftTopology, "contains", lambda tau, h: False)
+    assert not cylinder(sp, 0, FinSet.of([0], 2), "tau1").open_in_tagged
+
+
 def test_cylinder_rejects_non_open_base():
     sp = indiscrete_space()
     with pytest.raises(InputError):
@@ -322,6 +330,44 @@ def test_verify_theorems_filters_once_per_family(monkeypatch):
     space = SoftBitopSpace(SQUARE, tau1, soft_discrete(SQUARE))
     verify_theorems(space)
     assert built["families"] == 2
+
+
+def test_separation_is_decided_once_per_space(monkeypatch):
+    """verify_theorems reads the space's cached separation record, so a
+    second run on the same space runs no soft decider."""
+    calls = Counter()
+    for name in ("pairwise_soft_t0", "pairwise_soft_t1", "pairwise_soft_t2"):
+        original = getattr(pairwise, name)
+
+        def counting(space, name=name, original=original):
+            calls[name] += 1
+            return original(space)
+
+        monkeypatch.setattr(pairwise, name, counting)
+    space = discrete_space()
+    first, second = verify_theorems(space), verify_theorems(space)
+    assert first == second
+    assert set(calls.values()) == {1} and len(calls) == 3
+    assert space.separation.soft == (
+        pairwise_soft_t0(space),
+        pairwise_soft_t1(space),
+        pairwise_soft_t2(space),
+    )
+
+
+def test_verify_theorems_fails_transport_on_a_non_open_cylinder(monkeypatch):
+    """A cylinder cover with a member that is not open fails the transport
+    row; it raises nothing."""
+    indiscrete, sierpinski = enumerate_topologies(2)[:2]
+    tau = canonical_topology(SQUARE, [sierpinski, indiscrete])
+    not_open = SoftSet.of([[0], [0]], 2)
+    assert not tau.contains(not_open)
+    monkeypatch.setattr(
+        pairwise, "cylinder", lambda *args: pairwise.Cylinder(not_open, False)
+    )
+    report = verify_theorems(SoftBitopSpace(SQUARE, tau, tau))
+    failed = [c.name for c in report.checks if c.applicable and not c.passed]
+    assert failed == ["cylinder-cover-transport"]
 
 
 # ---------------------------------------------------------------- search
