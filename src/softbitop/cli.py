@@ -137,16 +137,20 @@ def parse_space(doc: dict) -> SpaceDescription:
         rep = doc["representability"]
         if not isinstance(rep, list) or not rep:
             raise InputError("'representability' must be a nonempty list of elements")
-        resolved = []
         for j, elem in enumerate(rep):
-            _names(elem, f"representability[{j}]")
+            where = f"representability[{j}]"
+            idx = _resolve_names(elem, elem_idx, where)
             if len(elem) != len(params):
                 raise InputError(
                     f"representability element {j} needs one value per parameter"
                 )
-            _resolve_names(elem, elem_idx, f"representability[{j}]")
-            resolved.append(tuple(elem))
-        representability = tuple(resolved)
+            for name, x, p, section in zip(elem, idx, params, soft_set.sections):
+                if x not in section:
+                    raise InputError(
+                        f"{where} = ({','.join(elem)}) is not a soft element: "
+                        f"{name!r} is not in sections[{p}]"
+                    )
+        representability = tuple(map(tuple, rep))
 
     # check and verify both decide on the induced families, which need the
     # filtration: past its guard the document is refused here, once it is

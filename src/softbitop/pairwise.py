@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import chain, product
+from math import prod
 from operator import or_
 from typing import Optional, Sequence
 
@@ -35,7 +36,6 @@ from .softtop import (
     canonical_topology,
     check_finest_open_projections,
     component_topology,
-    enlargement_size,
     induced_topology,
     is_canonical,
     reconstruct,
@@ -531,13 +531,13 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
     """Enumerate small soft bitopological spaces and collect (i) spaces
     that are not pairwise soft t0 yet induce a pairwise t2 pair, and
     (ii) soft topologies strictly below their canonical enlargement."""
+    if max_universe < 1 or max_params < 1:
+        raise InputError("bounds must be positive")
     if max_universe > SEARCH_MAX_UNIVERSE or max_params > SEARCH_MAX_PARAMS:
         raise CapacityError(
             f"search bounds universe {max_universe}, params {max_params} exceed "
             f"the cap of universe {SEARCH_MAX_UNIVERSE}, params {SEARCH_MAX_PARAMS}"
         )
-    if max_universe < 1 or max_params < 1:
-        raise InputError("bounds must be positive")
     class_i: list[dict] = []
     class_ii: list[dict] = []
     for n in range(1, max_universe + 1):
@@ -545,8 +545,8 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
             pool = candidate_soft_topologies(n, p)
             space = ElementSpace(pool[0].ambient)  # the ambient of every entry
             for idx, tau in enumerate(pool):
-                enlarged = enlargement_size(tau)
-                if enlarged > len(tau):
+                if not is_canonical(tau):
+                    enlarged = prod(len(c.opens) for c in tau.components)
                     class_ii.append(
                         {
                             "universe_size": n,
@@ -560,10 +560,6 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
             def descriptor(idx: int) -> list[list[list[int]]]:
                 return _topology_descriptor(pool[idx])
 
-            @cache
-            def induced(idx: int) -> SEFamily:
-                return induced_topology(pool[idx], space)
-
             # Every entry lives on the pool's one ambient, whose sections
             # are full: the pairs are decided on the entries and one element
             # space, so no pair builds or validates a SoftBitopSpace.
@@ -571,7 +567,8 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                 for j, tau2 in enumerate(pool):
                     if _t0_row(space, tau1, tau2) is None:
                         continue
-                    if pairwise_t2(BitopPair(induced(i), induced(j)))[0]:
+                    families = (induced_topology(tau, space) for tau in (tau1, tau2))
+                    if pairwise_t2(BitopPair(*families))[0]:
                         class_i.append(
                             {
                                 "universe_size": n,

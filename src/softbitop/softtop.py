@@ -8,11 +8,12 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from math import prod
-from operator import and_, or_
+from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
-from .finsets import ClassicalTopology, FinSet, generate_topology, is_topology_masks
+from .finsets import ClassicalTopology, FinSet, _least, bits
+from .finsets import generate_topology, is_topology_masks
 from .softsets import (
     ElementSpace,
     SoftSet,
@@ -85,37 +86,38 @@ class SoftTopology:
         return ElementSpace(self.ambient)
 
     @cached_property
-    def least_opens(self) -> tuple[int, ...]:
-        """For each soft element a of the ambient, in ElementSpace order,
-        the soft intersection N(a) of the opens that contain a, as a flat
-        soft set (`flat_soft_set`).
-
-        Soft membership is sectionwise, so a soft element lies in N(a) iff
-        it lies in every open around a.  A soft topology is closed under
-        finite intersections, so N(a) is itself open: the least open
-        containing a.  The ambient is open, so every a has one.
-        """
+    def least_cells(self) -> tuple[int, ...]:
+        """For each cell c, U(c), the least open around c, as a flat soft
+        set; 0 for a cell outside the ambient.  A soft topology is a finite
+        topology on the cells, so these fix it: each open is the union of
+        the U(c) over its cells."""
+        whole = flat_soft_set(self.ambient)
+        cells = self.ambient.param_count * self.ambient.universe_size
         return tuple(
-            reduce(and_, [h for h in self.flat_opens if h & a == a])
-            for a in self._space.flat_elements
+            _least(self.flat_opens, whole, c) if whole >> c & 1 else 0
+            for c in range(cells)
+        )
+
+    @cached_property
+    def least_opens(self) -> tuple[int, ...]:
+        """For each soft element a, in ElementSpace order, N(a), the least
+        open containing a: the OR of U(c) over the cells c of a, as a soft
+        element lies in an open iff each of its cells does."""
+        u = self.least_cells
+        return tuple(
+            reduce(or_, [u[c] for c in bits(a)]) for a in self._space.flat_elements
         )
 
     @cached_property
     def holders(self) -> tuple[int, ...]:
         """For each cell c, the mask of the soft elements j whose least
-        open N(j) holds c.
-
-        The opens missing c are closed under unions, so their union G is
-        the largest open missing c, and N(j) misses c iff j lies in G.
-        holders[c] is the complement of the elements inside G.
-        """
-        space, opens = self._space, self.flat_opens
-        every = (1 << space.size) - 1
-        cells = self.ambient.param_count * self.ambient.universe_size
-        return tuple(
-            every ^ space.inside(reduce(or_, [h for h in opens if not h >> c & 1]))
-            for c in range(cells)
-        )
+        open N(j) holds c: the OR of `ElementSpace.cell_elements[d]` over
+        the cells d whose U(d) holds c."""
+        out = [0] * len(self.least_cells)
+        for u, elements in zip(self.least_cells, self._space.cell_elements):
+            for c in bits(u):
+                out[c] |= elements
+        return tuple(out)
 
     @cached_property
     def components(self) -> tuple[ClassicalTopology, ...]:
@@ -180,17 +182,13 @@ def canonical_enlargement(tau: SoftTopology) -> SoftTopology:
     return tau.enlargement
 
 
-def enlargement_size(tau: SoftTopology) -> int:
-    """The number of opens of tau's canonical enlargement, the product of
-    the sizes of its component topologies, counted without building it."""
-    return prod(len(c.opens) for c in tau.components)
-
-
 def is_canonical(tau: SoftTopology) -> bool:
-    """tau equals its enlargement iff both have as many opens: tau lies
-    inside its enlargement, since each t-section of an open of tau is open
-    in the component topology at t by definition."""
-    return len(tau) == enlargement_size(tau)
+    """tau equals its enlargement iff each U(c) lies in the section of c:
+    the enlargement's least open around (t, x) is the t-section of U(t, x)
+    alone, and both are fixed by their least opens."""
+    n = tau.ambient.universe_size
+    block = (1 << n) - 1
+    return not any(u & ~(block << c // n * n) for c, u in enumerate(tau.least_cells))
 
 
 # A subset table holds one cell per subset S of the soft elements, an

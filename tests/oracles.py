@@ -6,8 +6,14 @@ The closure checks and the generator at the top are the original ones of
 `generate_topology` closes its subbase under unions and intersections to
 a fixed point, and `is_canonical` compares a soft topology with its built
 enlargement.  The library decides closure from the least neighbourhoods
-U(x) (`finsets.is_topology_masks`), generates as unions of the U(x), and
-counts the opens of the enlargement instead of building it.
+U(x) (`finsets.is_topology_masks`) and generates as unions of the U(x).
+
+`least_opens`, `holders` and `is_canonical_by_count` are the former
+readings of a soft topology from its full list of opens: N(a) as the AND
+of the opens around a, holders[c] as the complement of the soft elements
+inside the largest open missing c, and canonicity as |tau| equal to the
+product of the component sizes.  The library reads all three from one
+table of least cell neighbourhoods, `SoftTopology.least_cells`.
 
 The pairwise deciders are the original ones of `softbitop.finsets` and
 `softbitop.pairwise`, unchanged: each scans every pair of opens for every
@@ -48,7 +54,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations, product
-from operator import and_
+from math import prod
+from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
 from softbitop.errors import CapacityError, InputError, NotACoverError
@@ -175,6 +182,33 @@ def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
 
 def is_canonical(tau: SoftTopology) -> bool:
     return tau.opens == tau.enlargement.opens
+
+
+def least_opens(tau: SoftTopology) -> tuple[int, ...]:
+    """For each soft element a, the AND of the flat opens that contain a."""
+    return tuple(
+        reduce(and_, [h for h in tau.flat_opens if h & a == a])
+        for a in ElementSpace(tau.ambient).flat_elements
+    )
+
+
+def holders(tau: SoftTopology) -> tuple[int, ...]:
+    """For each cell c, the soft elements outside the union G of the opens
+    missing c, which is the largest open missing c: N(j) misses c iff j
+    lies in G."""
+    space, opens = ElementSpace(tau.ambient), tau.flat_opens
+    every = (1 << space.size) - 1
+    cells = tau.ambient.param_count * tau.ambient.universe_size
+    return tuple(
+        every ^ space.inside(reduce(or_, [h for h in opens if not h >> c & 1]))
+        for c in range(cells)
+    )
+
+
+def is_canonical_by_count(tau: SoftTopology) -> bool:
+    """tau lies inside its enlargement, so both are equal iff they have as
+    many opens, the product of the sizes of the component topologies."""
+    return len(tau) == prod(len(c.opens) for c in tau.components)
 
 
 def canonical_family(opens: Iterable[SoftSet]) -> tuple[SoftSet, ...]:

@@ -396,7 +396,43 @@ def test_search_capacity_exit(capsys):
     )
 
 
+def test_search_nonpositive_bound_exit(capsys):
+    """A bound below 1 is an input error, even when the other bound is
+    past its cap."""
+    code, out, err = run_cli(capsys, "search", "--max-universe", "4", "--max-params", "0")
+    assert (code, out) == (2, "")
+    assert err == "input error: bounds must be positive\n"
+
+
 # ---------------------------------------------------------------- errors
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_representability_element_outside_the_sections_exit(
+    capsys, monkeypatch, tmp_path, command
+):
+    """A representability element whose names are known but do not form a
+    soft element is refused while parsing, before any space is decided,
+    and the message names it and its parameter by the document's names."""
+
+    def deciding(*args):
+        raise AssertionError("a space was decided")
+
+    monkeypatch.setattr(cli, "SoftBitopSpace", deciding)
+    indiscrete = {"generate": "canonical", "subbases": {}}
+    doc = {
+        "universe": ["u0", "u1"],
+        "params": ["a1", "a2"],
+        "sections": {"a1": ["u0", "u1"], "a2": ["u0"]},
+        "topologies": [indiscrete, indiscrete],
+        "representability": [["u0", "u0"], ["u0", "u1"]],
+    }
+    code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: representability[1] = (u0,u1) is not a soft element: "
+        "'u1' is not in sections[a2]\n"
+    )
 
 
 def test_missing_file_exit(capsys):

@@ -17,9 +17,11 @@ replaced gives.  The closure check from least neighbourhoods, used by
 `is_topology`, `enumerate_topologies` and `is_soft_topology`, must agree
 with the test of every pair of members: exhaustively on 3- and 4-point
 carriers and on a 3-cell soft carrier, and with hypothesis beyond.
-`generate_topology` must give what the fixed-point closure gives, and
-`is_canonical`, which counts the opens of the enlargement, what comparing
-with the built enlargement gives.  The flat canonical product must give
+`generate_topology` must give what the fixed-point closure gives.  The
+least opens, the holders and `is_canonical`, all read from the least cell
+neighbourhoods U(c), must give what the former readings of the full list
+of opens give, and `is_canonical` also what comparing with the built
+enlargement gives.  The flat canonical product must give
 the opens of the product of `SoftSet` objects sorted by key, and
 `SoftTopology.build` the family sorted by key.
 """
@@ -753,8 +755,8 @@ def test_generate_topology_refuses_a_member_outside_the_carrier():
 
 def test_is_canonical_on_pools():
     """Every entry of the 2x2 and 3x1 pools and a seeded sample of 200
-    entries of the 3x2 pool: counting the opens of the enlargement agrees
-    with building it, and both verdicts occur."""
+    entries of the 3x2 pool: reading U(c) agrees with building the
+    enlargement, and both verdicts occur."""
     rng = rng_for("oracle-equivalence-canonical")
     pool_3x2 = candidate_soft_topologies(3, 2)
     taus = candidate_soft_topologies(2, 2) + candidate_soft_topologies(3, 1)
@@ -765,6 +767,58 @@ def test_is_canonical_on_pools():
         assert holds == oracles.is_canonical(tau), tau.opens
         verdicts[holds] += 1
     assert verdicts[True] and verdicts[False], verdicts
+
+
+def assert_least_tables_agree(tau):
+    assert tau.least_opens == oracles.least_opens(tau), tau.opens
+    assert tau.holders == oracles.holders(tau), tau.opens
+    assert is_canonical(tau) == oracles.is_canonical_by_count(tau), tau.opens
+
+
+def test_least_tables_on_pools():
+    """Every entry of the 2x2, 3x1 and 2x3 pools, diagonal lifts included,
+    and the seeded sample of 200 entries of the 3x2 pool of the test
+    above: the least opens, the holders and canonicity read from U(c)
+    agree with the readings of the full list of opens."""
+    rng = rng_for("oracle-equivalence-canonical")
+    shapes = ((2, 2), (3, 1), (2, 3))
+    taus = [tau for shape in shapes for tau in candidate_soft_topologies(*shape)]
+    taus += rng.sample(candidate_soft_topologies(3, 2), 200)
+    for tau in taus:
+        assert_least_tables_agree(tau)
+
+
+@st.composite
+def soft_topologies_on_proper_carriers(draw):
+    """A soft topology on 2 to 4 points x 1 to 3 parameters whose first
+    section misses a point, so some cells lie outside the ambient: the
+    closure of a few random flat soft sets under OR and AND."""
+    n, p = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    full = (1 << n) - 1
+    first = draw(st.integers(1, full - 1))
+    rest = draw(st.lists(st.integers(1, full), min_size=p - 1, max_size=p - 1))
+    ambient = SoftSet(tuple(FinSet(n, m) for m in [first, *rest]))
+    whole = flat_soft_set(ambient)
+    drawn = draw(st.lists(st.integers(0, whole), max_size=4))
+    flats = {0, whole} | {f & whole for f in drawn}
+    while True:
+        closed = flats | {a | b for a in flats for b in flats}
+        closed |= {a & b for a in closed for b in closed}
+        if closed == flats:
+            break
+        flats = closed
+    return SoftTopology.build([soft_set_of_flat(f, n, p) for f in flats], ambient)
+
+
+@settings(max_examples=300, deadline=None)
+@given(soft_topologies_on_proper_carriers())
+def test_least_tables_on_proper_carriers(tau):
+    """The drawn topology, mostly not canonical, and its enlargement, which
+    is canonical on the same carrier."""
+    assert_least_tables_agree(tau)
+    assert is_canonical(tau) == oracles.is_canonical(tau), tau.opens
+    assert_least_tables_agree(tau.enlargement)
+    assert is_canonical(tau.enlargement), tau.opens
 
 
 def _raw_shuffled(sigma):

@@ -7,6 +7,7 @@ import pytest
 from softbitop import (
     BitopPair,
     CapacityError,
+    ClassicalTopology,
     ElementSpace,
     FinSet,
     InputError,
@@ -31,7 +32,7 @@ from softbitop import (
     verify_theorems,
 )
 from softbitop import pairwise, softtop
-from softbitop.pairwise import candidate_soft_topologies
+from softbitop.pairwise import Verdict, candidate_soft_topologies
 
 SQUARE = SoftSet.of([[0, 1], [0, 1]], 2)
 LINE = SoftSet.of([[0, 1]], 2)
@@ -110,6 +111,38 @@ def test_soft_deciders_memory_on_16384_soft_elements():
     assert [v.holds for v in verdicts] == [False] * 3
     assert [v.witness for v in verdicts] == [(first, second)] * 3
     assert peak < 8 << 20, peak
+
+
+def side_2x11(x):
+    """The canonical topology on 2 points x 11 parameters whose component
+    at every parameter is {empty, {x}, both points}: 3^11 = 177,147 opens."""
+    ambient = SoftSet.of([range(2)] * 11, 2)
+    opens = [FinSet.empty(2), FinSet.of([x], 2), FinSet.full(2)]
+    sigma = ClassicalTopology.build(opens, 2)
+    return canonical_topology(ambient, [sigma] * 11)
+
+
+def test_soft_deciders_on_2048_soft_elements(monkeypatch):
+    """tau1 with {u0} at every parameter and tau2 with {u1}: the pair is
+    soft T0 but neither soft T1 nor soft T2.  The tables are read from the
+    least cell neighbourhoods, so each topology scans its opens once per
+    ambient cell (22 cells), never once per soft element (2,048)."""
+    calls = Counter()
+    least = softtop._least
+
+    def counting(masks, carrier, x):
+        calls[id(masks)] += 1
+        return least(masks, carrier, x)
+
+    monkeypatch.setattr(softtop, "_least", counting)
+    tau1, tau2 = side_2x11(0), side_2x11(1)
+    space = SoftBitopSpace(tau1.ambient, tau1, tau2)
+    zero, last = (0,) * 11, (0,) * 10 + (1,)
+    assert pairwise_soft_t0(space) == Verdict(True)
+    assert pairwise_soft_t1(space).witness == (last, zero)
+    assert pairwise_soft_t2(space).witness == (zero, last)
+    assert not pairwise_soft_t1(space).holds and not pairwise_soft_t2(space).holds
+    assert sorted(calls.values()) == [22, 22]
 
 
 def test_mixed_pair_soft_t0():
@@ -434,9 +467,9 @@ def test_search_shares_element_spaces(monkeypatch, bounds, built):
 
 def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
     """The pairs are decided on the pool's entries, so no pair builds a
-    SoftBitopSpace, and class (ii) counts the opens of each enlargement
-    instead of building it: past the pools themselves, no canonical
-    product is built."""
+    SoftBitopSpace, and class (ii) reads each entry's least cell
+    neighbourhoods instead of building its enlargement: past the pools
+    themselves, no canonical product is built."""
     count = Counter()
     post_init = SoftBitopSpace.__post_init__
     canonical = softtop.canonical_topology
@@ -456,6 +489,14 @@ def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
     result = search_counterexamples(2, 2)
     assert len(result.strict_enlargements) == 5
     assert count == {"canonical": pools}
+
+
+def test_search_refuses_a_nonpositive_bound_before_the_cap():
+    """A bound below 1 is an input error even when the other bound is past
+    its cap."""
+    for bounds in ((4, 0), (0, 3)):
+        with pytest.raises(InputError, match="bounds must be positive"):
+            search_counterexamples(*bounds)
 
 
 def test_search_capacity_guard():
