@@ -59,6 +59,7 @@ from .pairwise import (
     cylinder,
     find_finite_subcover,
     induced_bitop,
+    induced_verdicts,
     is_pairwise_soft_cover,
     pairwise_soft_t0,
     pairwise_soft_t1,

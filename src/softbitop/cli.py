@@ -152,9 +152,10 @@ def parse_space(doc: dict) -> SpaceDescription:
                     )
         representability = tuple(map(tuple, rep))
 
-    # check and verify both decide on the induced families, which need the
-    # filtration: past its guard the document is refused here, once it is
-    # known to be well formed and before any canonical product is built.
+    # verify decides on the induced families, which need the filtration,
+    # and for check the guard is the one bound on the soft deciders' work:
+    # past it the document is refused here, once it is known to be well
+    # formed and before any canonical product is built.
     check_filtration_guard(prod(len(s) for s in soft_set.sections))
     taus = [
         tau if isinstance(tau, SoftTopology) else canonical_topology(soft_set, tau)

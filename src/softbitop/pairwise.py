@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
-from itertools import chain, product
+from itertools import chain, islice, product
 from math import prod
 from operator import or_
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
 from .finsets import (
@@ -61,7 +61,8 @@ class Verdict:
 class Separation:
     """Every separation verdict of one space: pairwise soft T0/T1/T2 with
     their witnesses, T0/T1/T2 of the component pair at each parameter,
-    and T0/T1/T2 of the induced pair."""
+    and T0/T1/T2 of the induced pair, read from the carrier's shape by
+    `induced_verdicts`."""
 
     soft: tuple[Verdict, Verdict, Verdict]
     components: tuple[tuple[bool, bool, bool], ...]
@@ -100,37 +101,69 @@ class SoftBitopSpace:
     @cached_property
     def separation(self) -> Separation:
         """Every separation verdict, each decider run once, shared by
-        `check` and `verify_theorems`.  The induced verdicts need the
-        filtration, so a space past its guard is refused first."""
+        `check` and `verify_theorems`.  The induced verdicts come from the
+        carrier's shape and the component verdicts, so only the 2x2 shape
+        builds induced families.  A space past the filtration guard is
+        refused first: the guard is the one bound on the soft deciders'
+        work."""
         check_filtration_guard(self.space.size)
         soft = (pairwise_soft_t0(self), pairwise_soft_t1(self), pairwise_soft_t2(self))
-
-        def verdicts(pair: BitopPair) -> tuple[bool, bool, bool]:
-            return pairwise_t0(pair)[0], pairwise_t1(pair)[0], pairwise_t2(pair)[0]
-
         p = self.soft_set.param_count
-        components = tuple(verdicts(component_bitop(self, t)) for t in range(p))
-        return Separation(soft, components, verdicts(induced_bitop(self)))
+        components = tuple(_verdicts(component_bitop(self, t)) for t in range(p))
+        induced = induced_verdicts(
+            self.space, self.tau1, self.tau2, components.__getitem__
+        )
+        return Separation(soft, components, induced)
 
 
-# The soft deciders test least soft opens (SoftTopology.least_opens)
-# instead of scanning pairs of opens.  An open around a that misses b, or
-# two soft-disjoint opens around a and b, exist iff N(a), the least open
-# around a, does the same: every open around a contains N(a).
+def _verdicts(pair: BitopPair) -> tuple[bool, bool, bool]:
+    return pairwise_t0(pair)[0], pairwise_t1(pair)[0], pairwise_t2(pair)[0]
+
+
+def induced_verdicts(
+    es: ElementSpace,
+    tau1: SoftTopology,
+    tau2: SoftTopology,
+    component: Callable[[int], tuple[bool, bool, bool]],
+) -> tuple[bool, bool, bool]:
+    """T0/T1/T2 of the pair the two topologies induce on the soft elements
+    of es, read from the carrier's shape (README, "A note on the verified
+    theory", Claim A).  Let k be the number of sections with two or more
+    points:
+    - k = 0: one soft element, and all three hold;
+    - k = 1, at parameter t: the induced pair is the component pair at t
+      relabelled, so its verdicts are component(t);
+    - k >= 2: T0 and T1 hold, and so does T2, except at the 2x2 shape
+      (exactly two such sections, of two points each), where T2 of the
+      4-element induced pair is decided on its subset tables.
+    """
+    sizes = {t: len(s) for t, s in enumerate(es.soft_set.sections) if len(s) > 1}
+    if len(sizes) == 1:
+        (t,) = sizes
+        return component(t)
+    if list(sizes.values()) == [2, 2]:
+        families = (induced_topology(tau, es) for tau in (tau1, tau2))
+        return True, True, pairwise_t2(BitopPair(*families))[0]
+    return True, True, True
+
+
+# The soft T0 and T1 deciders test least soft opens
+# (SoftTopology.least_opens) instead of scanning pairs of opens.  An open
+# around a that misses b exists iff N(a), the least open around a, misses
+# b: every open around a contains N(a).
 #
-# Each decider builds one row mask per soft element i: the soft elements j
-# for which the ordered pair (i, j) is not separated.  A row is a few
-# big-int operations on tables with one mask of soft elements per cell of
-# the flat layout (`softsets.flat_soft_set`):
+# Each of the two builds one row mask per soft element i: the soft
+# elements j for which the ordered pair (i, j) is not separated.  A row is
+# a few big-int operations on tables with one mask of soft elements per
+# cell of the flat layout (`softsets.flat_soft_set`):
 # - ElementSpace.inside(f), the soft elements lying in the flat soft set f;
 # - around(i), the AND of SoftTopology.holders over the cells of element
-#   i: the soft elements j with i in N(j);
-# - the OR of holders over the cells of N(i): the soft elements j whose
-#   least open meets N(i) at some cell.
+#   i: the soft elements j with i in N(j).
 # Rows are built in the order of the brute-force scan, i-major, so the
 # lowest set bit of the first nonzero row is the least witness.  A row
 # costs O(|SE|.cells) bit operations, the tables are built once per
-# topology, and no |SE| x |SE| matrix is ever held.
+# topology, and no |SE| x |SE| matrix is ever held.  Soft T2 reads no
+# table: it is decided from the carrier's shape (README, Claim B).
 
 
 def _unseparated(space: SoftBitopSpace, i: int, row: int, detail: str) -> Verdict:
@@ -200,21 +233,26 @@ def pairwise_soft_t2(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) sits inside soft-disjoint opens drawn from
     the two topologies in their fixed roles.
 
-    Soft disjointness means every section of the intersection is empty.
-    Decided as: N1(a) and N2(b) are disjoint at every parameter.  Row i is
-    the OR of holders2 over the cells of N1(i), without i.  This needs
-    N(a) to be open, which holds for soft topologies, as they are closed
-    under finite intersections.
+    Soft disjointness means every section of the intersection is empty,
+    so two soft elements sharing a coordinate are never separated
+    (README, Claim B).  With two or more parameters and soft elements the
+    first two, e0 and e1, differ at one parameter only: the verdict fails
+    at (e0, e1), the first ordered pair.  With one parameter the soft
+    elements are the points of its section and the soft opens are the
+    component opens, so the verdict is the component pair's, its witness
+    points as 1-tuples.
     """
-    n1, h2 = space.tau1.least_opens, space.tau2.holders
-    for i, least in enumerate(n1):
-        row = 0
-        for c in bits(least):
-            row |= h2[c]
-        row &= ~(1 << i)
-        if row:
-            return _unseparated(space, i, row, "least unseparated ordered pair")
-    return Verdict(True)
+    sections = space.soft_set.sections
+    if len(sections) == 1:
+        holds, witness = pairwise_t2(component_bitop(space, 0))
+        pair = witness and tuple((x,) for x in witness)
+    else:
+        # e0 and e1 without enumerating the soft elements.
+        pair = tuple(islice(product(*(s.members() for s in sections)), 2))
+        holds = len(pair) < 2
+    if holds:
+        return Verdict(True)
+    return Verdict(False, pair, "least unseparated ordered pair")
 
 
 def component_bitop(space: SoftBitopSpace, t: int) -> BitopPair:
@@ -562,13 +600,18 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
 
             # Every entry lives on the pool's one ambient, whose sections
             # are full: the pairs are decided on the entries and one element
-            # space, so no pair builds or validates a SoftBitopSpace.
+            # space, so no pair builds or validates a SoftBitopSpace.  Only
+            # the 2x2 shape builds induced families (`induced_verdicts`).
             for i, tau1 in enumerate(pool):
                 for j, tau2 in enumerate(pool):
                     if _t0_row(space, tau1, tau2) is None:
                         continue
-                    families = (induced_topology(tau, space) for tau in (tau1, tau2))
-                    if pairwise_t2(BitopPair(*families))[0]:
+
+                    def component(t: int) -> tuple[bool, bool, bool]:
+                        pair = BitopPair(tau1.components[t], tau2.components[t])
+                        return _verdicts(pair)
+
+                    if induced_verdicts(space, tau1, tau2, component)[2]:
                         class_i.append(
                             {
                                 "universe_size": n,

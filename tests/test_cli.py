@@ -18,6 +18,7 @@ from conftest import (
 )
 from softbitop import (
     BitopPair,
+    ElementSpace,
     SoftTopology,
     canonical_topology,
     search_counterexamples,
@@ -28,6 +29,7 @@ from softbitop.cli import main, parse_space
 HERE = pathlib.Path(__file__).parent
 FIXTURES = HERE / "fixtures"
 GOLDENS = HERE / "goldens"
+RUNGS = HERE.parent / "perfbench" / "rungs"
 
 INDISCRETE = str(FIXTURES / "indiscrete_pair.json")
 REPRESENTABILITY = str(FIXTURES / "representability.json")
@@ -116,8 +118,10 @@ def test_check_20_soft_elements(capsys, tmp_path):
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_each_decider_runs_once(capsys, monkeypatch, command):
     """Both commands read one `SoftBitopSpace.separation`: each soft
-    decider runs once, and each classical decider once on the induced
-    pair and once on the component pair of each of the two parameters."""
+    decider runs once, and each classical decider once on the component
+    pair of each of the two parameters.  The document has the 2x2 shape,
+    where induced T0 and T1 always hold and only induced T2 is decided,
+    once, on the induced pair."""
     calls = Counter()
     for name in (
         "pairwise_soft_t0",
@@ -141,9 +145,38 @@ def test_each_decider_runs_once(capsys, monkeypatch, command):
     assert code == (0 if command == "check" else 1)
     assert calls == {
         **{(f"pairwise_soft_t{j}", "soft"): 1 for j in (0, 1, 2)},
-        **{(f"pairwise_t{j}", "SEFamily"): 1 for j in (0, 1, 2)},
+        ("pairwise_t2", "SEFamily"): 1,
         **{(f"pairwise_t{j}", "ClassicalTopology"): 2 for j in (0, 1, 2)},
     }
+
+
+@pytest.mark.parametrize(
+    "document",
+    [FIXTURES / "se20_a.json", FIXTURES / "se20_b.json", RUNGS / "check-16se.json"],
+    ids=lambda path: path.stem,
+)
+def test_check_builds_no_induced_family(capsys, monkeypatch, document):
+    """The induced verdicts of these shapes, two or more sections of two
+    or more points and not 2x2, are read from the shape: `check` builds no
+    induced family and no section table over the 2^|SE| subsets."""
+    built = Counter()
+    init = softtop.SEFamily.__init__
+
+    def counting_init(self, *args):
+        built["SEFamily"] += 1
+        init(self, *args)
+
+    def counting_sections(es):
+        built["flat_sections"] += 1
+        return flat_sections.func(es)
+
+    flat_sections = ElementSpace.flat_sections
+    monkeypatch.setattr(softtop.SEFamily, "__init__", counting_init)
+    monkeypatch.setattr(ElementSpace, "flat_sections", property(counting_sections))
+    code, out, _ = run_cli(capsys, "check", str(document))
+    assert code == 0
+    assert "induced: t0=true t1=true t2=true" in out
+    assert not built
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])

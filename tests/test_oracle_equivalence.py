@@ -23,13 +23,18 @@ neighbourhoods U(c), must give what the former readings of the full list
 of opens give, and `is_canonical` also what comparing with the built
 enlargement gives.  The flat canonical product must give
 the opens of the product of `SoftSet` objects sorted by key, and
-`SoftTopology.build` the family sorted by key.
+`SoftTopology.build` the family sorted by key.  The induced verdicts that
+`SoftBitopSpace.separation` reads from the carrier's shape must equal
+those decided on the induced pair's subset tables, and soft T2, read from
+the shape too, must give the scan's verdict and witness: on the
+indiscrete pair of every shape up to 20 soft elements, on every pair of
+the 2x2 and 3x1 pools, on a seeded 3x2 sample and with hypothesis.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -67,6 +72,7 @@ from softbitop import (
     enumerate_topologies,
     find_finite_subcover,
     generate_topology,
+    induced_bitop,
     induced_topology,
     is_canonical,
     is_soft_topology,
@@ -202,6 +208,15 @@ def test_soft_deciders_on_random_carriers():
             assert fast == slow
 
 
+def sampled_3x2_pool_pairs(pool):
+    """A seeded sample of 2,000 ordered index pairs of the 3x2 pool, plus
+    every ordered pair of its twelve entries with the most opens."""
+    rng = rng_for("oracle-equivalence-3x2-pool")
+    pairs = [(rng.randrange(len(pool)), rng.randrange(len(pool))) for _ in range(2000)]
+    finest = sorted(range(len(pool)), key=lambda k: -len(pool[k]))[:12]
+    return pairs + list(product(finest, repeat=2))
+
+
 def test_soft_deciders_on_sampled_3x2_pool_pairs():
     """A seeded sample of 2,000 ordered pairs of the 3x2 pool, plus every
     ordered pair of its twelve entries with the most opens.  Soft T1 holds
@@ -212,12 +227,8 @@ def test_soft_deciders_on_sampled_3x2_pool_pairs():
     pool = candidate_soft_topologies(3, 2)
     ambient = pool[0].ambient
     space = ElementSpace(ambient)
-    rng = rng_for("oracle-equivalence-3x2-pool")
-    pairs = [(rng.randrange(len(pool)), rng.randrange(len(pool))) for _ in range(2000)]
-    finest = sorted(range(len(pool)), key=lambda k: -len(pool[k]))[:12]
-    pairs += product(finest, repeat=2)
     tally = Counter()
-    for i, j in pairs:
+    for i, j in sampled_3x2_pool_pairs(pool):
         sp = SoftBitopSpace(ambient, pool[i], pool[j], space)
         for k, (fast, slow) in enumerate(soft_cases(sp)):
             assert fast == slow, (k, i, j)
@@ -622,6 +633,111 @@ def test_projection_check_on_arbitrary_families(instance):
     assert reconstruct(candidate) == oracles.reconstruct(candidate)
 
 
+# ------------------------------------------- induced verdicts from shape
+
+
+def induced_by_table(space):
+    """T0/T1/T2 of the induced pair, decided on its subset tables."""
+    pair = induced_bitop(space)
+    return tuple(decide(pair)[0] for decide in (pairwise_t0, pairwise_t1, pairwise_t2))
+
+
+def assert_induced_verdicts_agree(space):
+    """The verdicts `separation` reads from the shape (`induced_verdicts`)
+    against the table path, and soft T2, read from the shape too, against
+    the scan over pairs of opens."""
+    assert space.separation.induced == induced_by_table(space), space.soft_set.key
+    assert pairwise_soft_t2(space) == oracles.pairwise_soft_t2(space)
+
+
+def shaped_carrier(sizes):
+    """A carrier whose section t has sizes[t] points, the first points of
+    the universe at even t and the last ones at odd t."""
+    n = max(sizes)
+    return SoftSet.of(
+        [range(m) if t % 2 == 0 else range(n - m, n) for t, m in enumerate(sizes)], n
+    )
+
+
+# Every shape with two or more sections of two or more points and at most
+# 20 soft elements, the filtration guard, as its sorted section sizes.
+SHAPES_UP_TO_20 = [
+    sizes
+    for k in (2, 3, 4)
+    for sizes in combinations_with_replacement(range(2, 11), k)
+    if prod(sizes) <= 20
+]
+
+
+@pytest.mark.parametrize("sizes", SHAPES_UP_TO_20, ids=str)
+def test_induced_verdicts_of_the_indiscrete_pair_by_shape(sizes):
+    """The indiscrete pair, whose induced family lies inside every other
+    on its carrier, on each shape, its reverse, and the shape with a
+    one-point section after its first: only the 2x2 shape fails induced
+    T2, padded or not."""
+    for shape in (sizes, sizes[::-1], sizes[:1] + (1,) + sizes[1:]):
+        ambient = shaped_carrier(shape)
+        null = SoftSet.null(len(shape), ambient.universe_size)
+        tau = SoftTopology.build([null, ambient], ambient)
+        space = SoftBitopSpace(ambient, tau, tau)
+        assert_induced_verdicts_agree(space)
+        assert space.separation.induced == (True, True, sizes != (2, 2)), shape
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
+def test_induced_verdicts_on_all_pool_pairs(n, p):
+    pool = candidate_soft_topologies(n, p)
+    ambient = pool[0].ambient
+    es = ElementSpace(ambient)
+    tally = Counter()
+    for tau1 in pool:
+        for tau2 in pool:
+            space = SoftBitopSpace(ambient, tau1, tau2, es)
+            assert_induced_verdicts_agree(space)
+            tally[space.separation.induced] += 1
+    assert len(tally) > 1, tally
+
+
+def test_induced_verdicts_on_sampled_3x2_pool_pairs():
+    """The sample of `test_soft_deciders_on_sampled_3x2_pool_pairs`: the
+    shape (3, 3), where every induced pair holds all three."""
+    pool = candidate_soft_topologies(3, 2)
+    ambient = pool[0].ambient
+    es = ElementSpace(ambient)
+    for i, j in sampled_3x2_pool_pairs(pool):
+        space = SoftBitopSpace(ambient, pool[i], pool[j], es)
+        assert_induced_verdicts_agree(space)
+        assert space.separation.induced == (True, True, True), (i, j)
+
+
+@st.composite
+def spaces_up_to_16_soft_elements(draw):
+    """A carrier of 1 to 4 points x 1 to 4 parameters, with any nonempty
+    sections and at most 16 soft elements, and two soft topologies on it,
+    each the closure of a few random flat soft sets under OR and AND."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    sections, room = [], 16
+    for _ in range(p):
+        fits = [m for m in range(1, 1 << n) if m.bit_count() <= room]
+        sections.append(draw(st.sampled_from(fits)))
+        room //= sections[-1].bit_count()
+    ambient = SoftSet(tuple(FinSet(n, m) for m in sections))
+    whole = flat_soft_set(ambient)
+    taus = []
+    for _ in range(2):
+        drawn = draw(st.lists(st.integers(0, whole), max_size=4))
+        flats = closure_under_or_and({0, whole} | {f & whole for f in drawn})
+        opens = [soft_set_of_flat(f, n, p) for f in flats]
+        taus.append(SoftTopology.build(opens, ambient))
+    return SoftBitopSpace(ambient, *taus)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_up_to_16_soft_elements())
+def test_induced_verdicts_on_arbitrary_spaces(space):
+    assert_induced_verdicts_agree(space)
+
+
 # ---------------------------------------------------------------- closure
 
 
@@ -670,6 +786,16 @@ def test_is_topology_on_arbitrary_families(instance):
     n, carrier, masks = instance
     opens, on = [FinSet(n, m) for m in masks], FinSet(n, carrier)
     assert is_topology(opens, n, on) == oracles.is_topology(opens, n, on), instance
+
+
+def closure_under_or_and(flats: set[int]) -> set[int]:
+    """The least family holding flats that is closed under OR and AND."""
+    while True:
+        closed = flats | {a | b for a in flats for b in flats}
+        closed |= {a & b for a in closed for b in closed}
+        if closed == flats:
+            return flats
+        flats = closed
 
 
 def soft_set_of_flat(flat: int, n: int, p: int) -> SoftSet:
@@ -800,13 +926,7 @@ def soft_topologies_on_proper_carriers(draw):
     ambient = SoftSet(tuple(FinSet(n, m) for m in [first, *rest]))
     whole = flat_soft_set(ambient)
     drawn = draw(st.lists(st.integers(0, whole), max_size=4))
-    flats = {0, whole} | {f & whole for f in drawn}
-    while True:
-        closed = flats | {a | b for a in flats for b in flats}
-        closed |= {a & b for a in closed for b in closed}
-        if closed == flats:
-            break
-        flats = closed
+    flats = closure_under_or_and({0, whole} | {f & whole for f in drawn})
     return SoftTopology.build([soft_set_of_flat(f, n, p) for f in flats], ambient)
 
 
@@ -850,13 +970,7 @@ def soft_topology_families(draw):
     ambient = SoftSet(tuple(FinSet(n, m) for m in sections))
     whole = flat_soft_set(ambient)
     drawn = draw(st.lists(st.integers(0, whole), max_size=4))
-    flats = {0, whole} | {f & whole for f in drawn}
-    while True:
-        closed = flats | {a | b for a in flats for b in flats}
-        closed |= {a & b for a in closed for b in closed}
-        if closed == flats:
-            break
-        flats = closed
+    flats = closure_under_or_and({0, whole} | {f & whole for f in drawn})
     full = (1 << n) - 1
     opens = [
         SoftSet(tuple(FinSet(n, f >> t * n & full) for t in range(p))) for f in flats

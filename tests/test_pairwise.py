@@ -124,25 +124,45 @@ def side_2x11(x):
 
 def test_soft_deciders_on_2048_soft_elements(monkeypatch):
     """tau1 with {u0} at every parameter and tau2 with {u1}: the pair is
-    soft T0 but neither soft T1 nor soft T2.  The tables are read from the
-    least cell neighbourhoods, so each topology scans its opens once per
-    ambient cell (22 cells), never once per soft element (2,048)."""
-    calls = Counter()
-    least = softtop._least
+    soft T0 but neither soft T1 nor soft T2.  Soft T2 is read from the
+    carrier's shape and reads no least open.  The tables of T0 and T1 are
+    read from the least cell neighbourhoods, so each topology scans its
+    opens once per ambient cell (22 cells), never once per soft element
+    (2,048)."""
+    calls, reads = Counter(), Counter()
+    least, least_opens = softtop._least, SoftTopology.least_opens
 
     def counting(masks, carrier, x):
         calls[id(masks)] += 1
         return least(masks, carrier, x)
 
+    def reading(tau):
+        reads[id(tau)] += 1
+        return least_opens.func(tau)
+
     monkeypatch.setattr(softtop, "_least", counting)
+    monkeypatch.setattr(SoftTopology, "least_opens", property(reading))
     tau1, tau2 = side_2x11(0), side_2x11(1)
     space = SoftBitopSpace(tau1.ambient, tau1, tau2)
     zero, last = (0,) * 11, (0,) * 10 + (1,)
+    t2 = pairwise_soft_t2(space)
+    assert not reads
     assert pairwise_soft_t0(space) == Verdict(True)
-    assert pairwise_soft_t1(space).witness == (last, zero)
-    assert pairwise_soft_t2(space).witness == (zero, last)
-    assert not pairwise_soft_t1(space).holds and not pairwise_soft_t2(space).holds
+    t1 = pairwise_soft_t1(space)
+    assert (t1.holds, t1.witness) == (False, (last, zero))
+    assert (t2.holds, t2.witness) == (False, (zero, last))
     assert sorted(calls.values()) == [22, 22]
+
+
+def test_soft_t2_on_a_million_soft_elements():
+    """The indiscrete pair on 2 points x 20 parameters, 2^20 soft elements:
+    soft T2 is read from the shape, without enumerating them."""
+    space = indiscrete_space(SoftSet.of([range(2)] * 20, 2))
+    zero, last = (0,) * 20, (0,) * 19 + (1,)
+    assert pairwise_soft_t2(space) == Verdict(
+        False, (zero, last), "least unseparated ordered pair"
+    )
+    assert "elements" not in vars(space.space)
 
 
 def test_mixed_pair_soft_t0():
@@ -489,6 +509,24 @@ def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
     result = search_counterexamples(2, 2)
     assert len(result.strict_enlargements) == 5
     assert count == {"canonical": pools}
+
+
+def test_search_builds_no_induced_family_at_3x1(monkeypatch):
+    """On one parameter the induced pair is the component pair relabelled,
+    so class (i) reads the component verdicts and builds no induced
+    family.  The class is empty there: induced T2 is component T2, which
+    implies component T0, and that is soft T0."""
+    built = Counter()
+    init = softtop.SEFamily.__init__
+
+    def counting(self, *args):
+        built["SEFamily"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(softtop.SEFamily, "__init__", counting)
+    result = search_counterexamples(3, 1)
+    assert result.not_t0_but_induced_t2 == ()
+    assert not built
 
 
 def test_search_refuses_a_nonpositive_bound_before_the_cap():
