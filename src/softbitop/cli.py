@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from math import prod
 from typing import Optional, Sequence
@@ -412,7 +413,13 @@ def _load_doc(path: Optional[str]) -> dict:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    `main` call in the process.  Sharing it is safe: `parse_args` keeps no
+    state between calls (each returns a fresh namespace), and usage, help
+    and errors are formatted when printed, against the `sys.stdout` and
+    `sys.stderr` of that moment."""
     parser = argparse.ArgumentParser(
         prog="softbitop",
         description="Decide pairwise separation and compactness properties of "

@@ -308,6 +308,18 @@ class BitopPair:
     def carrier(self) -> FinSet:
         return self.first.carrier
 
+    @cached_property
+    def avoiding(self) -> tuple[dict[int, int], dict[int, int]]:
+        """For each family and each carrier point y, the points some member
+        avoiding y holds: inside(full - {y}).  Built once per pair and read
+        by both `pairwise_t0` and `pairwise_t1`."""
+        full = _full(self.universe_size)
+        pts = self.carrier.members()
+        return tuple(
+            {y: family.inside(full ^ 1 << y) for y in pts}
+            for family in (self.first, self.second)
+        )
+
 
 Witness = Optional[tuple[int, int]]
 
@@ -321,17 +333,9 @@ Witness = Optional[tuple[int, int]]
 # the first family at x.  Both arguments use only finiteness, so the
 # verdicts are exact for any finite families, not just topologies.  Points
 # are scanned in the same order as by a brute-force scan, so the least
-# witness is the same.  A decider reads inside() once per point, or once
-# per minimal member of the first family for T2, instead of scanning pairs
-# of members.
-
-
-def _avoiding(
-    family: ClassicalTopology | SEFamily, pair: BitopPair
-) -> dict[int, int]:
-    """For each carrier point y, the points some member avoiding y holds."""
-    full = _full(pair.universe_size)
-    return {y: family.inside(full ^ 1 << y) for y in pair.carrier.members()}
+# witness is the same.  T0 and T1 read inside() once per point and family,
+# through the pair's one `avoiding` table, and T2 once per minimal member
+# of the first family, instead of scanning pairs of members.
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
@@ -343,7 +347,7 @@ def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
     returned.
     """
     pts = pair.carrier.members()
-    first, second = _avoiding(pair.first, pair), _avoiding(pair.second, pair)
+    first, second = pair.avoiding
     apart = {y: first[y] | second[y] for y in pts}
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
@@ -360,7 +364,7 @@ def pairwise_t1(pair: BitopPair) -> tuple[bool, Witness]:
     inside(full - {x}) of the second.  Exact for any finite families.
     """
     pts = pair.carrier.members()
-    first, second = _avoiding(pair.first, pair), _avoiding(pair.second, pair)
+    first, second = pair.avoiding
     for x in pts:
         for y in pts:
             if x != y and not (first[y] >> x & 1 and second[x] >> y & 1):
@@ -413,11 +417,16 @@ def _min_cover(masks: Sequence[int], target: int) -> Optional[tuple[int, ...]]:
                     return (i, *rest)
         return None
 
-    for k in range(n + 1):
-        hit = search(0, k, target)
-        if hit is not None:
-            return hit
-    return None
+    try:
+        for k in range(n + 1):
+            hit = search(0, k, target)
+            if hit is not None:
+                return hit
+        return None
+    finally:
+        # search refers to itself through its closure cell: clearing the
+        # cell lets refcounting free it, masks and suffix on return.
+        del search
 
 
 def minimal_subcover_indices(

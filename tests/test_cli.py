@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -714,6 +715,69 @@ def test_parse_to_doc_round_trip(fixture):
     again = parse_space(desc.to_doc())
     assert again == desc
     assert again.to_doc() == desc.to_doc()
+
+
+# ---------------------------------------------------------------- shared parser
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of one `main` call, the `elapsed` line
+    left out; argparse's exits are caught."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    lines = err.getvalue().splitlines(keepends=True)
+    err = "".join(line for line in lines if not line.startswith("elapsed: "))
+    return code, out.getvalue(), err
+
+
+REPEATED = (
+    ["check", INDISCRETE],
+    ["verify", "--json", REPRESENTABILITY],
+    ["search", "--max-universe", "1", "--max-params", "1"],
+    ["search"],
+    ["check", "--no-such-flag", INDISCRETE],
+    ["--version"],
+)
+
+
+def test_repeated_main_calls_give_the_first_calls_bytes():
+    """The parser is built on the first call and shared by later ones: they
+    print the same bytes and exit with the same codes, and no default
+    leaks from one call into the next."""
+    cli.build_parser.cache_clear()
+    first = [run_in_process(argv) for argv in REPEATED]
+    for _ in range(2):
+        assert [run_in_process(argv) for argv in REPEATED] == first
+    check, verify, small, search, unknown, version = first
+    assert check[0] == 0 and "induced: t0=true t1=true t2=false" in check[1]
+    assert verify[0] == 0 and json.loads(verify[1])["command"] == "verify"
+    assert "bounds: universe<=1 params<=1\n" in small[1]
+    assert search == (0, (GOLDENS / "search_2_2.txt").read_text(), "")
+    assert unknown[:2] == (2, "")
+    assert unknown[2].startswith("usage: softbitop")
+    assert "unrecognized arguments: --no-such-flag" in unknown[2]
+    assert version == (0, "0.1.0\n", "")
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert run_in_process(["check", INDISCRETE])[0] == 0
+        assert run_in_process(["search", "--max-universe", "1"])[0] == 0
+    # the top-level parser and one per subcommand
+    assert len(built) == 5
 
 
 # ---------------------------------------------------------------- entry point

@@ -297,6 +297,24 @@ def test_pairwise_implication_chain(n):
                 assert h0
 
 
+def test_t0_and_t1_read_inside_once_per_point_and_family(monkeypatch):
+    carrier = FinSet.of([0, 2, 3], 4)
+    first = generate_topology([FinSet.of([0], 4)], 4, carrier=carrier)
+    second = generate_topology([FinSet.of([2], 4)], 4, carrier=carrier)
+    calls = []
+    inside = ClassicalTopology.inside
+
+    def counting(self, s):
+        calls.append(self)
+        return inside(self, s)
+
+    monkeypatch.setattr(ClassicalTopology, "inside", counting)
+    pair = BitopPair(first, second)
+    assert pairwise_t0(pair) == (True, None)
+    assert pairwise_t1(pair) == (False, (0, 3))
+    assert [calls.count(first), calls.count(second)] == [3, 3]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_pairwise_reduces_to_classical_on_equal_pair(n):
     for top in enumerate_topologies(n):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import tracemalloc
 from collections import Counter
@@ -32,6 +33,7 @@ from softbitop import (
     verify_theorems,
 )
 from softbitop import pairwise, softtop
+from softbitop.finsets import _min_cover
 from softbitop.pairwise import Verdict, candidate_soft_topologies
 
 SQUARE = SoftSet.of([[0, 1], [0, 1]], 2)
@@ -263,6 +265,22 @@ def test_find_finite_subcover_rejects_non_cover():
     null = SoftSet.null(2, 2)
     with pytest.raises(NotACoverError):
         find_finite_subcover(SoftCover(sp, SQUARE, ((null, "both"),)))
+
+
+def test_cover_search_leaves_no_cyclic_garbage():
+    """The recursive search of `_min_cover` is freed by refcounting on
+    return, so a call leaves nothing for the cyclic collector."""
+    sp = discrete_space()
+    cover = SoftCover(sp, SQUARE, tuple((h, "tau1") for h in sp.tau1.opens))
+    gc.collect()
+    gc.disable()
+    try:
+        assert _min_cover([0b001, 0b010, 0b110], 0b111) == (0, 2)
+        assert _min_cover([0b001], 0b011) is None
+        assert [m for m, _ in find_finite_subcover(cover)] == [SQUARE]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------- cylinders
