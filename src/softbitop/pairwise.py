@@ -440,18 +440,14 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     )
 
     # The enlargement row: the enlargement contains the original, has the
-    # same component topologies and induces the same family.  The last
-    # clause follows from the second, since the induced family reads only
-    # the component topologies (`induced_topology` returns its memoised
-    # family for equal components).
+    # same component topologies and so induces the same family, since the
+    # induced family reads only the component topologies.
     enlargement_ok = True
-    for tau, ind_fam in ((space.tau1, ind1), (space.tau2, ind2)):
+    for tau in (space.tau1, space.tau2):
         can = canonical_enlargement(tau)
         if not can.flat_open_set.issuperset(tau.flat_opens):
             enlargement_ok = False
         if can.components != tau.components:
-            enlargement_ok = False
-        if induced_topology(can, space.space) != ind_fam:
             enlargement_ok = False
     checks.append(
         TheoremCheck(

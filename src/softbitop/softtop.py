@@ -317,7 +317,7 @@ class SEFamily:
         guard)."""
         n = self.space.soft_set.universe_size
         full = (1 << n) - 1
-        flat = list(map(self.space.flat_sections.__getitem__, self.masks))
+        flat = set(map(self.space.flat_sections.__getitem__, self.masks))
         return tuple(
             frozenset({f >> t * n & full for f in flat})
             for t in range(self.space.soft_set.param_count)
@@ -350,7 +350,8 @@ def induced_topology(
     closed under unions, but it is NOT closed under intersections in
     general: sections of an intersection can be strictly smaller than the
     intersections of sections.  The sections of every subset are read
-    from `ElementSpace.flat_sections`, which enforces the filtration guard.
+    from `ElementSpace.flat_sections`, which enforces the filtration guard,
+    and each distinct entry is tested once against the component opens.
 
     The family depends only on the component topologies, so it is built
     once per element space and tuple of component opens, and every later
@@ -366,10 +367,9 @@ def induced_topology(
         flat = space.flat_sections
         n = tau.ambient.universe_size
         full = (1 << n) - 1
-        keep: Iterable[int] = range(len(flat))
-        for t, masks in enumerate(key):
-            opens, shift = set(masks), t * n
-            keep = [m for m in keep if flat[m] >> shift & full in opens]
+        opens = list(enumerate(map(set, key)))
+        passed = {f for f in set(flat) if all(f >> t * n & full in o for t, o in opens)}
+        keep = compress(range(len(flat)), map(passed.__contains__, flat))
         family = space.induced_families[key] = SEFamily(space, tuple(keep))
     return family
 

@@ -28,13 +28,17 @@ the opens of the product of `SoftSet` objects sorted by key, and
 those decided on the induced pair's subset tables, and soft T2, read from
 the shape too, must give the scan's verdict and witness: on the
 indiscrete pair of every shape up to 20 soft elements, on every pair of
-the 2x2 and 3x1 pools, on a seeded 3x2 sample and with hypothesis.
+the 2x2 and 3x1 pools, on a seeded 3x2 sample and with hypothesis; and
+the 2x2 induced T2 on every choice of its four component topologies,
+against the closed form of README Claim A.  The family the library
+induces from a topology must be the oracle's filtration of the
+topology's canonical enlargement.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from math import prod
 
 import pytest
@@ -708,6 +712,57 @@ def test_induced_verdicts_on_sampled_3x2_pool_pairs():
         space = SoftBitopSpace(ambient, pool[i], pool[j], es)
         assert_induced_verdicts_agree(space)
         assert space.separation.induced == (True, True, True), (i, j)
+
+
+def test_induced_t2_of_every_2x2_component_combination():
+    """Every choice of the four component topologies of the 2x2 shape, the
+    sections {0, 1} at two parameters t and s, alone and with a one-point
+    section before, between and after them.  The induced family reads only
+    the component topologies and a one-point section filters no subset, so
+    these 4^4 combinations exhaust the shape.  On each, the table path must
+    give the closed form of README Claim A: with Diu meaning that tau_i's
+    component at u is discrete, induced T2 holds iff (D1t or D2s) and
+    (D1s or D2t), on 49 of the 256."""
+    topos = enumerate_topologies(2)
+    point = ClassicalTopology.build(
+        [FinSet.empty(2), FinSet.of([0], 2)], 2, carrier=FinSet.of([0], 2)
+    )
+    for pad in (None, 0, 1, 2):
+        sections = [[0, 1], [0, 1]]
+        if pad is not None:
+            sections.insert(pad, [0])
+        ambient = SoftSet.of(sections, 2)
+        es = ElementSpace(ambient)
+        holds = 0
+        for a, b, c, d in product(topos, repeat=4):
+            (d1t, d1s, d2t, d2s) = (len(sigma.opens) == 4 for sigma in (a, b, c, d))
+            closed_form = (d1t or d2s) and (d1s or d2t)
+            sigmas = ([a, b], [c, d])
+            if pad is not None:
+                for sigma in sigmas:
+                    sigma.insert(pad, point)
+            tau1, tau2 = (canonical_topology(ambient, s) for s in sigmas)
+            space = SoftBitopSpace(ambient, tau1, tau2, es)
+            assert induced_by_table(space) == (True, True, closed_form), (pad, sigmas)
+            assert space.separation.induced == (True, True, closed_form)
+            holds += closed_form
+        assert holds == 49, pad
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1), (3, 2)])
+def test_enlargement_induces_the_same_family(n, p):
+    """The canonical enlargement induces the family of the topology it
+    enlarges, which the enlargement row of `verify_theorems` relies on: the
+    family of each entry against the oracle's filtration of the entry's
+    enlargement, which shares no memo with it.  At 3x2 on the entries of
+    the seeded sample."""
+    pool = candidate_soft_topologies(n, p)
+    es = ElementSpace(pool[0].ambient)
+    if (n, p) == (3, 2):
+        pool = [pool[k] for k in sorted(set(chain(*sampled_3x2_pool_pairs(pool))))]
+    for tau in pool:
+        expected = oracles.induced_topology(tau.enlargement, es)
+        assert induced_topology(tau, es).masks == expected.masks, tau.flat_opens
 
 
 @st.composite

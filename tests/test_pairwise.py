@@ -386,8 +386,9 @@ def test_verify_theorems_builds_each_component_once(monkeypatch):
 
 
 def test_verify_theorems_filters_once_per_family(monkeypatch):
-    """The enlargements and the reconstructions have the components of
-    the two topologies, so verify builds just the two induced families."""
+    """The reconstructions have the components of the two topologies and
+    the enlargement row filters nothing, so verify builds just the two
+    induced families."""
     built = Counter()
     init = softtop.SEFamily.__init__
 
@@ -532,16 +533,22 @@ def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
 def test_search_builds_no_induced_family_at_3x1(monkeypatch):
     """On one parameter the induced pair is the component pair relabelled,
     so class (i) reads the component verdicts and builds no induced
-    family.  The class is empty there: induced T2 is component T2, which
-    implies component T0, and that is soft T0."""
+    family and no section table.  The class is empty there: induced T2 is
+    component T2, which implies component T0, and that is soft T0."""
     built = Counter()
     init = softtop.SEFamily.__init__
+    flat_sections = ElementSpace.flat_sections
 
     def counting(self, *args):
         built["SEFamily"] += 1
         init(self, *args)
 
+    def counting_sections(es):
+        built["flat_sections"] += 1
+        return flat_sections.func(es)
+
     monkeypatch.setattr(softtop.SEFamily, "__init__", counting)
+    monkeypatch.setattr(ElementSpace, "flat_sections", property(counting_sections))
     result = search_counterexamples(3, 1)
     assert result.not_t0_but_induced_t2 == ()
     assert not built

@@ -224,6 +224,15 @@ def test_induced_single_param_matches_component():
         assert set(fam.masks) == set(sigma.open_masks)
 
 
+def test_induced_on_21_one_point_parameters():
+    """One soft element on 21 one-point parameters: the family is {0, SE},
+    found without the canonical product of the components, which at 2^21
+    opens is past its guard."""
+    ambient = SoftSet.of([[0]] * 21, 1)
+    tau = SoftTopology.build([SoftSet.null(21, 1), ambient], ambient)
+    assert induced_topology(tau).masks == (0, 1)
+
+
 def test_induced_mismatched_space():
     tau = soft_indiscrete(SQUARE)
     other = ElementSpace(SoftSet.of([[0], [0, 1]], 2))
