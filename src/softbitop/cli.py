@@ -13,14 +13,13 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
 from itertools import islice
 from math import prod
 from typing import Optional, Sequence
 
 from .errors import CapacityError, InputError, NoSoftElementsError, SoftBitopError
-from .finsets import ClassicalTopology, FinSet, generate_topology
+from .finsets import ClassicalTopology, FinSet, Value, generate_topology
 # Not called here: the benchmark's tracer test (perfbench/tests) reads
 # pairwise_t2 from this module, as a name bound by `from .finsets import`.
 from .finsets import pairwise_t2  # noqa: F401
@@ -31,8 +30,7 @@ from .softtop import SoftTopology, canonical_topology, is_canonical
 from . import __version__
 
 
-@dataclass(frozen=True)
-class SpaceDescription:
+class SpaceDescription(Value):
     """A parsed input document with all names resolved to indices."""
 
     universe: tuple[str, ...]

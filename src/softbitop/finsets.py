@@ -8,9 +8,8 @@ require; the plain case is carrier == full universe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import or_
+from operator import attrgetter, or_
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
@@ -26,18 +25,84 @@ def _full(n: int) -> int:
     return (1 << n) - 1
 
 
-@dataclass(frozen=True)
-class FinSet:
-    """A subset of {0, ..., universe_size-1} stored as a bitmask."""
+class Value:
+    """Base of the package's value classes.  The fields are the class's
+    annotations, in order; a value given in the class body is the field's
+    default, and defaults come last.  Instances take their fields by
+    position or keyword, then run `__post_init__`; they compare, hash and
+    print by the tuple of their fields and refuse assignment.  No code is
+    generated per class, so defining one costs no start-up time."""
 
-    universe_size: int
-    mask: int = 0
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _required = 0
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        names = cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._required = sum(name not in vars(cls) for name in names)
+        get = attrgetter(*names)
+        cls._key = staticmethod(get if len(names) > 1 else lambda v: (get(v),))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._fields
+        if kwargs or not self._required <= len(args) <= len(names):
+            rest = names[len(args) :]
+            values = {**vars(type(self)), **kwargs}
+            if len(args) > len(names) or not kwargs.keys() <= {*rest} <= values.keys():
+                raise TypeError(f"{type(self).__name__}() takes the fields {names}")
+            args += tuple(values[name] for name in rest)
+        # Defaults left out here are read from the class.
+        self.__dict__.update(zip(names, args))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.universe_size < 1:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = map("{}={!r}".format, self._fields, self._key(self))
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class FinSet(Value):
+    """A subset of {0, ..., universe_size-1} stored as a bitmask."""
+
+    __slots__ = ("universe_size", "mask")
+    universe_size: int
+    mask: int
+
+    def __init__(self, universe_size: int, mask: int = 0) -> None:
+        if universe_size < 1:
             raise InputError("universe_size must be positive")
-        if self.mask < 0 or self.mask > _full(self.universe_size):
+        if mask < 0 or mask > (1 << universe_size) - 1:
             raise InputError("bitmask has bits outside the universe")
+        object.__setattr__(self, "universe_size", universe_size)
+        object.__setattr__(self, "mask", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FinSet:
+            return NotImplemented
+        return self.mask == other.mask and self.universe_size == other.universe_size
+
+    def __hash__(self) -> int:
+        return hash((self.universe_size, self.mask))
+
+    def __reduce__(self) -> tuple:
+        return FinSet, (self.universe_size, self.mask)
 
     @classmethod
     def of(cls, members: Iterable[int], universe_size: int) -> "FinSet":
@@ -150,8 +215,7 @@ def is_topology(
     return is_topology_masks(set(_collect_masks(opens, n)), carrier.mask)
 
 
-@dataclass(frozen=True)
-class ClassicalTopology:
+class ClassicalTopology(Value):
     """A finite topology on a carrier set, opens deduplicated and sorted."""
 
     universe_size: int
@@ -279,8 +343,7 @@ def enumerate_topologies(
     return found
 
 
-@dataclass(frozen=True)
-class BitopPair:
+class BitopPair(Value):
     """An ordered pair of finite families on one shared carrier.
 
     Each family is a validated `ClassicalTopology` or, for the pair a soft

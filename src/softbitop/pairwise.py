@@ -4,7 +4,6 @@ an exhaustive counterexample search on small carriers."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from itertools import chain, islice, product
 from math import prod
@@ -15,6 +14,7 @@ from .errors import CapacityError, InputError, NotACoverError
 from .finsets import (
     BitopPair,
     FinSet,
+    Value,
     _min_cover,
     bits,
     enumerate_topologies,
@@ -47,8 +47,7 @@ SEARCH_MAX_PARAMS = 2
 PROVENANCES = ("tau1", "tau2", "both")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
     """Outcome of a decision, with a witness when the universal claim
     fails (or, for existential ones, when it succeeds)."""
 
@@ -57,8 +56,7 @@ class Verdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(Value):
     """Every separation verdict of one space: pairwise soft T0/T1/T2 with
     their witnesses, T0/T1/T2 of the component pair at each parameter,
     and T0/T1/T2 of the induced pair, read from the carrier's shape by
@@ -69,18 +67,21 @@ class Separation:
     induced: tuple[bool, bool, bool]
 
 
-@dataclass(frozen=True)
-class SoftBitopSpace:
+class SoftBitopSpace(Value):
     """A soft set carrying an ordered pair of soft topologies.
 
     space is the soft set's ElementSpace.  It is built here unless one is
-    given, so that many spaces on one soft set can share one.
+    given, so that many spaces on one soft set can share one.  It is not a
+    field: equality, hashing and repr ignore it.
     """
 
     soft_set: SoftSet
     tau1: SoftTopology
     tau2: SoftTopology
-    space: ElementSpace = field(default=None, compare=False, repr=False)
+
+    def __init__(self, soft_set, tau1, tau2, space: ElementSpace = None) -> None:
+        self.__dict__["space"] = space
+        super().__init__(soft_set, tau1, tau2)
 
     def __post_init__(self) -> None:
         if self.tau1.ambient != self.soft_set or self.tau2.ambient != self.soft_set:
@@ -266,8 +267,7 @@ def induced_bitop(space: SoftBitopSpace) -> BitopPair:
     return BitopPair(*space.induced)
 
 
-@dataclass(frozen=True)
-class SoftCover:
+class SoftCover(Value):
     """A tagged family of soft opens meant to cover a target soft subset."""
 
     space: SoftBitopSpace
@@ -323,8 +323,7 @@ def find_finite_subcover(cover: SoftCover) -> tuple[tuple[SoftSet, str], ...]:
     return tuple(cover.members[i] for i in found)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(Value):
     """A cylinder soft set plus whether it is open in the tagged topology."""
 
     soft_set: SoftSet
@@ -352,16 +351,14 @@ def cylinder(
     return Cylinder(cyl, tau.contains(cyl))
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(Value):
     name: str
     applicable: bool
     passed: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Value):
     checks: tuple[TheoremCheck, ...]
 
     @property
@@ -548,8 +545,7 @@ def candidate_soft_topologies(n: int, p: int) -> list[SoftTopology]:
     return list(pool.values())
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Value):
     """Census of two counterexample classes over small enumerated spaces."""
 
     # (n, p, index of tau1 in pool, index of tau2 in pool, opens of each)

@@ -8,17 +8,14 @@ infinite-parameter cover with no finite subcover.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .finsets import FinSet, pairwise_t1, pairwise_t2
+from .finsets import FinSet, Value, pairwise_t1, pairwise_t2
 from .pairwise import SoftBitopSpace, induced_bitop, pairwise_soft_t0
 from .softsets import ElementSpace, SoftSet, is_se_representable
 from .softtop import SoftTopology
 from .symbolic import CofiniteSoftSet, TemplateFamily, cf_is_cover, decide_finite_subcover
 
 
-@dataclass(frozen=True)
-class ScenarioOutcome:
+class ScenarioOutcome(Value):
     name: str
     lines: tuple[str, ...]
     ok: bool

@@ -11,14 +11,13 @@ bit per cell: cell t * universe_size + x stands for point x at parameter t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NoSoftElementsError
-from .finsets import FinSet
+from .finsets import FinSet, Value
 
 # Guard on the soft-element count, checked when an ElementSpace is built.
 SE_MATERIALIZATION_LIMIT = 1 << 20
@@ -38,18 +37,31 @@ def check_filtration_guard(size: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SoftSet:
+class SoftSet(Value):
     """A parameter-indexed family of sections over a common universe."""
 
+    __slots__ = ("sections",)
     sections: tuple[FinSet, ...]
 
-    def __post_init__(self) -> None:
-        if not self.sections:
+    def __init__(self, sections: tuple[FinSet, ...]) -> None:
+        if not sections:
             raise InputError("a soft set needs at least one parameter")
-        n = self.sections[0].universe_size
-        if any(s.universe_size != n for s in self.sections):
-            raise InputError("sections must share a universe size")
+        n = sections[0].universe_size
+        for s in sections:
+            if s.universe_size != n:
+                raise InputError("sections must share a universe size")
+        object.__setattr__(self, "sections", sections)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not SoftSet:
+            return NotImplemented
+        return self.sections == other.sections
+
+    def __hash__(self) -> int:
+        return hash((self.sections,))
+
+    def __reduce__(self) -> tuple:
+        return SoftSet, (self.sections,)
 
     @classmethod
     def of(
@@ -244,8 +256,7 @@ def enumerate_soft_elements(f: SoftSet) -> tuple[SoftElement, ...]:
     return ElementSpace(f).elements
 
 
-@dataclass(frozen=True, eq=False)
-class SESubset:
+class SESubset(Value):
     """A subset of an enumerated soft-element list, as a bitmask."""
 
     space: ElementSpace

@@ -4,7 +4,6 @@ they induce on the enumerated soft elements."""
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import compress
 from math import prod
@@ -12,7 +11,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
-from .finsets import ClassicalTopology, FinSet, _least, bits
+from .finsets import ClassicalTopology, FinSet, Value, _least, bits
 from .finsets import generate_topology, is_topology_masks
 from .softsets import (
     ElementSpace,
@@ -42,8 +41,7 @@ def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
     return is_topology_masks(masks, whole)
 
 
-@dataclass(frozen=True)
-class SoftTopology:
+class SoftTopology(Value):
     """A validated soft topology, its opens held flat (`flat_soft_set`),
     deduplicated and in key order: by section masks, section 0 first."""
 
@@ -212,8 +210,7 @@ def _shift_up(packed: int, size: int, i: int) -> int:
     return (packed & int.from_bytes(lower, "little")) << 8 * run
 
 
-@dataclass(eq=False)
-class SEFamily:
+class SEFamily(Value):
     """A finite family of soft-element subsets, masks sorted ascending.
 
     The induced families are of this type.  Such a family is union-closed
@@ -225,6 +222,9 @@ class SEFamily:
 
     space: ElementSpace
     masks: tuple[int, ...]
+    # Unlike the other values, a family may be assigned to.
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -392,8 +392,7 @@ def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> boo
     )
 
 
-@dataclass(frozen=True)
-class Reconstruction:
+class Reconstruction(Value):
     """Outcome of rebuilding a canonical soft topology from a topology on
     the soft elements."""
 

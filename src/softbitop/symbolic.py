@@ -8,17 +8,15 @@ the finitely many exceptional labels, decides any sectionwise statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, NotACoverError
-from .finsets import FinSet, _min_cover
+from .finsets import FinSet, Value, _min_cover
 from .pairwise import Verdict
 from .softsets import SoftSet
 
 
-@dataclass(frozen=True)
-class CofiniteSoftSet:
+class CofiniteSoftSet(Value):
     """A soft set equal to default_section at all but finitely many labels.
 
     Exceptions are normalized: entries equal to the default are dropped,
@@ -70,8 +68,7 @@ def cf_section(s: CofiniteSoftSet, t: int) -> FinSet:
     return s.default_section
 
 
-@dataclass(frozen=True)
-class TemplateFamily:
+class TemplateFamily(Value):
     """A cover family with at most one indexed template.
 
     With a template (at_index_section, default_section) the family holds
@@ -146,8 +143,7 @@ def cf_is_cover(family: TemplateFamily, target: CofiniteSoftSet) -> Verdict:
     return Verdict(True)
 
 
-@dataclass(frozen=True)
-class SubcoverDecision:
+class SubcoverDecision(Value):
     """Finite-subcover verdict with a verified witness or a certificate."""
 
     holds: bool

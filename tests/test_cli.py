@@ -791,3 +791,18 @@ def test_console_script_version():
     )
     assert out.returncode == 0
     assert out.stdout.strip() == "0.1.0"
+
+
+def test_import_runs_no_dataclass_code_generation():
+    """The package's classes derive from `finsets.Value`, which generates
+    no code per class: importing the package and its CLI in a bare
+    interpreter leaves `dataclasses` unimported."""
+    src = str(HERE.parent / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import softbitop, softbitop.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True
+    )
+    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
