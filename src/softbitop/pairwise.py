@@ -464,42 +464,33 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     )
 
     # Finite parameter set: every pairwise soft open cover has a finite
-    # (here minimal) subcover.  The full family of opens is such a cover.
-    all_opens = tuple((h, "tau1") for h in space.tau1.opens) + tuple(
-        (h, "tau2") for h in space.tau2.opens
-    )
-    cover = SoftCover(space, space.soft_set, all_opens)
-    sub = find_finite_subcover(cover)
-    sub_union = reduce(or_, (flat_soft_set(m) for m, _ in sub), 0)
+    # (here minimal) subcover.  The full family of opens is such a cover;
+    # `find_finite_subcover` would cut it with the same kernel.
+    whole = flat_soft_set(space.soft_set)
+    sub = _min_cover(space.tau1.flat_opens + space.tau2.flat_opens, whole)
     checks.append(
         TheoremCheck(
             "finite-params-subcover-exists",
             True,
-            flat_soft_set(space.soft_set) & ~sub_union == 0,
-            f"subcover size {len(sub)}",
+            sub is not None,
+            f"subcover size {len(sub)}" if sub is not None else "no subcover",
         )
     )
 
     # Canonical spaces: component covers transport to soft covers through
-    # cylinders, and sections of a soft subcover cover the component.
+    # cylinders, equal to an open v of the component at t and to the full
+    # section elsewhere, each open in the topology; and a subcover of
+    # them covers the ambient, so its sections cover the component.
     transport_ok = True
     if canonical:
+        n = space.soft_set.universe_size
+        block = (1 << n) - 1
         for t in range(p):
-            for prov, tau in (("tau1", space.tau1), ("tau2", space.tau2)):
-                comp_topo = component_topology(tau, t)
-                cyls = tuple(
-                    (cylinder(space, t, v, prov).soft_set, prov)
-                    for v in comp_topo.opens
-                )
-                try:
-                    csub = find_finite_subcover(SoftCover(space, space.soft_set, cyls))
-                except NotACoverError:
-                    transport_ok = False
-                    continue
-                sec_union = 0
-                for member, _ in csub:
-                    sec_union |= member.section(t).mask
-                if space.soft_set.section(t).mask & ~sec_union:
+            rest = whole & ~(block << t * n)
+            for tau in (space.tau1, space.tau2):
+                cyls = [rest | v << t * n for v in tau.components[t].open_masks]
+                covered = _min_cover(cyls, whole) is not None
+                if not (covered and tau.flat_open_set.issuperset(cyls)):
                     transport_ok = False
     checks.append(
         TheoremCheck(

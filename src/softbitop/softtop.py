@@ -222,9 +222,6 @@ class SEFamily(Value):
 
     space: ElementSpace
     masks: tuple[int, ...]
-    # Unlike the other values, a family may be assigned to.
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -374,6 +371,14 @@ def induced_topology(
     return family
 
 
+def _sections_open(family: SEFamily, sigmas: Sequence[ClassicalTopology]) -> bool:
+    """Every t-section of every member of the family is open in sigmas[t]."""
+    return all(
+        sections.issubset(sigma.open_masks)
+        for sections, sigma in zip(family.sections, sigmas)
+    )
+
+
 def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> bool:
     """True iff every member of the candidate family has all its sections
     component-open, i.e. every coordinate projection maps it to an open set.
@@ -386,10 +391,7 @@ def check_finest_open_projections(tau: SoftTopology, candidate: SEFamily) -> boo
     them would reject the most important candidate.  The sections are
     read from `SEFamily.sections`.
     """
-    return all(
-        sections.issubset(comp.open_masks)
-        for sections, comp in zip(candidate.sections, tau.components)
-    )
+    return _sections_open(candidate, tau.components)
 
 
 class Reconstruction(Value):
@@ -406,8 +408,10 @@ def reconstruct(u: SEFamily) -> Reconstruction:
     canonical soft topology on top, and certify that u is contained in the
     family it induces back on the soft elements.
 
-    The containment argument only needs u's sections, so u may be any
-    family of subsets, topology or not.
+    The components of the canonical topology are the sigmas, and the
+    family it induces is every subset whose sections are open in them; so
+    u is contained iff each of its sections is, and no family is built.
+    u may be any family of subsets, topology or not.
     """
     space = u.space
     if space.size == 0:
@@ -419,5 +423,4 @@ def reconstruct(u: SEFamily) -> Reconstruction:
         for t, masks in enumerate(u.sections)
     )
     tau_hat = canonical_topology(ambient, sigmas)
-    induced = induced_topology(tau_hat, space)
-    return Reconstruction(sigmas, tau_hat, induced._mask_set.issuperset(u.masks))
+    return Reconstruction(sigmas, tau_hat, _sections_open(u, sigmas))

@@ -47,6 +47,16 @@ by bit, and the projection check and reconstruction that walk every soft
 element of every member (`SESubset.section`).  The library reads the
 sections from one table per element space (`ElementSpace.flat_sections`)
 and the components from a cache per soft topology.
+
+`cover_rows` is the former computation of three `verify_theorems` rows:
+the subcover row cuts a `SoftCover` of every open, held as a `SoftSet`;
+the transport row builds each cylinder with `cylinder` and cuts the
+cylinder cover; and the reconstruction row filters the family the
+reconstructed topology induces (`softtop.induced_topology`, on an element
+space of its own) and tests the input's members in it.  Both covers are
+cut by this module's `find_finite_subcover`.  The library runs the cover
+kernel on the flat opens and flat cylinders, and decides containment
+from the input's sections alone.
 """
 
 from __future__ import annotations
@@ -66,10 +76,12 @@ from softbitop.finsets import (
     Witness,
     _collect_masks,
 )
+from softbitop import softtop
 from softbitop.pairwise import (
     SoftBitopSpace,
     SoftCover,
     Verdict,
+    cylinder,
     is_pairwise_soft_cover,
 )
 from softbitop.softsets import (
@@ -78,6 +90,7 @@ from softbitop.softsets import (
     SESubset,
     SoftElement,
     SoftSet,
+    flat_soft_set,
     soft_intersection,
     soft_subset,
     soft_union,
@@ -596,3 +609,47 @@ def reconstruct(u: SEFamily) -> Reconstruction:
     contained = all(induced.contains_mask(m) for m in u.masks)
     assert contained, "reconstruction must contain its input family"
     return Reconstruction(tuple(sigmas), tau_hat, contained)
+
+
+def cover_rows(space: SoftBitopSpace) -> tuple[bool, int, Optional[bool], bool]:
+    """The verdicts of the rows finite-params-subcover-exists (with its
+    subcover size), cylinder-cover-transport (None where the space is not
+    canonical and the row does not apply) and
+    reconstruction-contains-input."""
+    opens = tuple((h, "tau1") for h in space.tau1.opens) + tuple(
+        (h, "tau2") for h in space.tau2.opens
+    )
+    sub = find_finite_subcover(SoftCover(space, space.soft_set, opens))
+    union = reduce(or_, (flat_soft_set(m) for m, _ in sub), 0)
+    covered = flat_soft_set(space.soft_set) & ~union == 0
+
+    transport = None
+    if is_canonical(space.tau1) and is_canonical(space.tau2):
+        transport = True
+        for t in range(space.soft_set.param_count):
+            for prov, tau in (("tau1", space.tau1), ("tau2", space.tau2)):
+                cyls = tuple(
+                    (cylinder(space, t, v, prov).soft_set, prov)
+                    for v in component_topology(tau, t).opens
+                )
+                try:
+                    csub = find_finite_subcover(SoftCover(space, space.soft_set, cyls))
+                except NotACoverError:
+                    transport = False
+                    continue
+                sec_union = reduce(or_, (m.section(t).mask for m, _ in csub), 0)
+                if space.soft_set.section(t).mask & ~sec_union:
+                    transport = False
+
+    def contained(u: SEFamily) -> bool:
+        ambient = u.space.soft_set
+        n = ambient.universe_size
+        sigmas = [
+            generate_topology([FinSet(n, m) for m in masks], n, ambient.section(t))
+            for t, masks in enumerate(u.sections)
+        ]
+        tau_hat = canonical_topology(ambient, sigmas)
+        induced = softtop.induced_topology(tau_hat, ElementSpace(ambient))
+        return set(induced.masks).issuperset(u.masks)
+
+    return covered, len(sub), transport, all(map(contained, space.induced))

@@ -35,6 +35,7 @@ RUNGS = HERE.parent / "perfbench" / "rungs"
 INDISCRETE = str(FIXTURES / "indiscrete_pair.json")
 REPRESENTABILITY = str(FIXTURES / "representability.json")
 CANONICAL_DISCRETE = str(FIXTURES / "canonical_discrete.json")
+DISCRETE_16X1 = str(FIXTURES / "discrete_16x1.json")
 
 
 def run_cli(capsys, *argv):
@@ -321,15 +322,15 @@ def test_verify_20_soft_elements(capsys, tmp_path):
 
 def test_verify_reports_a_failed_reconstruction(capsys, monkeypatch):
     """A reconstruction that does not contain its input is a FAIL row and
-    exit 1, not an exception.  The family reconstruct induces back is cut
-    to its empty member."""
-    induced = softtop.induced_topology
+    exit 1, not an exception.  The topologies reconstruct generates are
+    cut to their empty open, so the full subset's sections are not open."""
+    generate = softtop.generate_topology
 
-    def cut(tau, space=None):
-        family = induced(tau, space)
-        return softtop.SEFamily(family.space, family.masks[:1])
+    def cut(subbase, n, carrier=None):
+        sigma = generate(subbase, n, carrier=carrier)
+        return finsets.ClassicalTopology(n, sigma.carrier, sigma.opens[:1])
 
-    monkeypatch.setattr(softtop, "induced_topology", cut)
+    monkeypatch.setattr(softtop, "generate_topology", cut)
     code, out, _ = run_cli(capsys, "verify", INDISCRETE)
     assert code == 1
     assert [l for l in out.splitlines() if l.startswith("FAIL")] == [
@@ -361,6 +362,63 @@ def test_verify_json_statuses(capsys):
     statuses = {e["name"]: e["status"] for e in report["theorems"]}
     assert statuses["soft-t2-implies-soft-t1"] == "PASS"
     assert statuses["component-t2-implies-soft-t2-on-canonical"] == "FAIL"
+
+
+# The verify report of DISCRETE_16X1, one parameter: the discrete topology
+# on 16 points (65,536 opens) against the opens {}, {u0} and all 16 points.
+VERIFY_16X1 = [
+    "command: verify",
+    "PASS soft-t2-implies-soft-t1  [antecedent=False consequent=False]",
+    "PASS soft-t1-implies-soft-t0  [antecedent=False consequent=True]",
+    "PASS soft-t0-implies-component-t0  [antecedent=True consequent=True]",
+    "PASS component-t0-implies-soft-t0-on-canonical  [antecedent=True consequent=True]",
+    "PASS canonical-componentwise-equivalence-t0  [component=True soft=True]",
+    "PASS soft-t0-implies-induced-t0  [antecedent=True consequent=True]",
+    "PASS soft-t1-implies-component-t1  [antecedent=False consequent=False]",
+    "PASS component-t1-implies-soft-t1-on-canonical"
+    "  [antecedent=False consequent=False]",
+    "PASS canonical-componentwise-equivalence-t1  [component=False soft=False]",
+    "PASS soft-t1-implies-induced-t1  [antecedent=False consequent=False]",
+    "PASS soft-t2-implies-component-t2  [antecedent=False consequent=False]",
+    "PASS component-t2-implies-soft-t2-on-canonical"
+    "  [antecedent=False consequent=False]",
+    "PASS canonical-componentwise-equivalence-t2  [component=False soft=False]",
+    "PASS soft-t2-implies-induced-t2  [antecedent=False consequent=False]",
+    "PASS induced-families-union-closed",
+    "PASS induced-is-finest-with-open-projections",
+    "PASS canonical-enlargement-contains-and-preserves"
+    "  [contains original, same components, same induced topology]",
+    "PASS reconstruction-contains-input",
+    "PASS finite-params-subcover-exists  [subcover size 1]",
+    "PASS cylinder-cover-transport",
+    "PASS induced-separation-may-exceed-soft",
+]
+
+
+def test_check_and_verify_16_points_by_1_parameter(capsys):
+    """Both commands decide the document; the verify report is pinned."""
+    assert run_cli(capsys, "check", DISCRETE_16X1)[0] == 0
+    code, out, _ = run_cli(capsys, "verify", DISCRETE_16X1)
+    assert code == 0
+    assert out == "\n".join(VERIFY_16X1) + "\n"
+
+
+def test_verify_decides_cover_and_reconstruction_rows_flat(monkeypatch):
+    """On 65,536 opens, verify builds no soft set per open and no
+    cylinder or soft cover, and reconstruct filters no induced family."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verify left its flat path")
+
+    doc = parse_space(json.loads(pathlib.Path(DISCRETE_16X1).read_text()))
+    space = pairwise.SoftBitopSpace(doc.soft_set, doc.tau1, doc.tau2)
+    monkeypatch.setattr(SoftTopology, "opens", property(forbidden))
+    for name in ("cylinder", "find_finite_subcover", "SoftCover"):
+        monkeypatch.setattr(pairwise, name, forbidden)
+    monkeypatch.setattr(softtop, "induced_topology", forbidden)
+    report = pairwise.verify_theorems(space)
+    assert report.all_passed
+    assert len(doc.tau1) == 1 << 16
 
 
 # ---------------------------------------------------------------- examples

@@ -32,11 +32,16 @@ the 2x2 and 3x1 pools, on a seeded 3x2 sample and with hypothesis; and
 the 2x2 induced T2 on every choice of its four component topologies,
 against the closed form of README Claim A.  The family the library
 induces from a topology must be the oracle's filtration of the
-topology's canonical enlargement.
+topology's canonical enlargement.  The subcover, transport and
+reconstruction rows of `verify_theorems`, decided on flat opens and
+sections, must give what the soft-set covers, cylinders and induced
+filtration they replaced give (`oracles.cover_rows`): on every pair of
+the 2x2 and 3x1 pools, on the 20-SE fixtures and on seeded carriers.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
 from math import prod
@@ -47,6 +52,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    FIXTURES,
     element_space_of_size,
     random_carrier,
     random_nonempty_mask,
@@ -89,7 +95,9 @@ from softbitop import (
     pairwise_t1,
     pairwise_t2,
     reconstruct,
+    verify_theorems,
 )
+from softbitop.cli import parse_space
 from softbitop.finsets import is_topology_masks
 from softbitop.pairwise import candidate_soft_topologies
 from softbitop.softsets import flat_soft_set
@@ -497,6 +505,70 @@ def test_decide_finite_subcover_on_cofinite_families():
             )
             kinds["fresh label" if at_fresh else "finite subcover"] += 1
     assert len(kinds) == 4, kinds
+
+
+# ------------------------------------------------- cover and reconstruction
+
+
+def assert_cover_rows_agree(space):
+    """The subcover, transport and reconstruction rows of verify_theorems
+    against the oracle's soft covers, cylinders and filtration."""
+    rows = {c.name: c for c in verify_theorems(space).checks}
+    covered, size, transport, contained = oracles.cover_rows(space)
+    sub = rows["finite-params-subcover-exists"]
+    assert (sub.applicable, sub.passed, sub.detail) == (
+        True,
+        covered,
+        f"subcover size {size}",
+    )
+    row = rows["cylinder-cover-transport"]
+    applies = transport is not None
+    assert (row.applicable, row.passed) == (applies, transport is not False)
+    assert rows["reconstruction-contains-input"].passed == contained
+    return transport
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
+def test_cover_rows_on_all_pool_pairs(n, p):
+    pool = candidate_soft_topologies(n, p)
+    es = ElementSpace(pool[0].ambient)
+    transports = Counter()
+    for tau1, tau2 in product(pool, repeat=2):
+        space = SoftBitopSpace(es.soft_set, tau1, tau2, space=es)
+        transports[assert_cover_rows_agree(space)] += 1
+    # At p = 1 every topology is its own enlargement, so canonical.
+    assert transports[True] and bool(transports[None]) == (p > 1), transports
+
+
+@pytest.mark.parametrize("name", ["se20_a.json", "se20_b.json"])
+def test_cover_rows_on_20_soft_elements(name):
+    doc = parse_space(json.loads((FIXTURES / name).read_text()))
+    space = SoftBitopSpace(doc.soft_set, doc.tau1, doc.tau2)
+    assert space.space.size == 20
+    assert assert_cover_rows_agree(space) is True
+
+
+def test_cover_rows_on_random_carriers():
+    """Carriers with non-full and singleton sections and up to 4
+    parameters, each side canonical or a random soft topology, which is
+    mostly not canonical: there the transport row does not apply."""
+    rng = rng_for("oracle-equivalence-cover-rows")
+    kinds = Counter()
+    for _ in range(80):
+        ambient = random_wide_carrier(rng)
+
+        def side():
+            if rng.random() < 0.5:
+                return canonical_topology(ambient, random_sigma_family(rng, ambient))
+            return random_soft_topology(rng, ambient)
+
+        transport = assert_cover_rows_agree(SoftBitopSpace(ambient, side(), side()))
+        full = (1 << ambient.universe_size) - 1
+        kinds[transport] += 1
+        kinds["singleton"] += any(m.bit_count() == 1 for m in ambient.key)
+        kinds["not full"] += any(m != full for m in ambient.key)
+    assert kinds[True] and kinds[None], kinds
+    assert kinds["singleton"] and kinds["not full"], kinds
 
 
 # ------------------------------------------------------- induced families

@@ -114,11 +114,14 @@ def test_space_is_not_compared_hashed_or_shown():
     assert "space=" not in repr(built)
 
 
-def test_se_family_stays_mutable_and_compares_by_soft_set_and_masks():
-    space = ElementSpace(AMBIENT)
-    family = SEFamily(space, (0, 1))
-    family.masks = (0, 3)
+def test_se_family_is_frozen_and_compares_by_soft_set_and_masks():
+    """A family caches reads of its masks, so it refuses assignment like
+    every other value."""
+    family = SEFamily(ElementSpace(AMBIENT), (0, 3))
+    with pytest.raises(AttributeError):
+        family.masks = (0, 1)
+    with pytest.raises(AttributeError):
+        del family.masks
+    assert family.masks == (0, 3)
     assert family == SEFamily(ElementSpace(AMBIENT), (0, 3))
     assert hash(family) == hash((AMBIENT, (0, 3)))
-    del family.masks
-    assert not hasattr(family, "masks")
