@@ -9,14 +9,14 @@ Exit codes: 0 ran, 1 theorem/golden failure, 2 input error, 3 capacity.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
 import time
-from functools import cache
+from collections.abc import Sequence
 from itertools import islice
 from math import prod
-from typing import Optional, Sequence
+from types import SimpleNamespace
 
 from .errors import CapacityError, InputError, NoSoftElementsError, SoftBitopError
 from .finsets import ClassicalTopology, FinSet, Value, generate_topology
@@ -38,7 +38,7 @@ class SpaceDescription(Value):
     soft_set: SoftSet
     tau1: SoftTopology
     tau2: SoftTopology
-    representability: Optional[tuple[tuple[str, ...], ...]] = None
+    representability: tuple[tuple[str, ...], ...] | None = None
 
     def to_doc(self) -> dict:
         """Canonical JSON form; parsing it back yields an equal value."""
@@ -399,7 +399,7 @@ def cmd_search(max_universe: int, max_params: int, as_json: bool, out) -> int:
     return 0
 
 
-def _load_doc(path: Optional[str]) -> dict:
+def _load_doc(path: str | None) -> dict:
     try:
         if path is None or path == "-":
             return json.load(sys.stdin)
@@ -411,46 +411,208 @@ def _load_doc(path: Optional[str]) -> dict:
         raise InputError(f"cannot read input: {exc}") from exc
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on the first call and shared by every later
-    `main` call in the process.  Sharing it is safe: `parse_args` keeps no
-    state between calls (each returns a fresh namespace), and usage, help
-    and errors are formatted when printed, against the `sys.stdout` and
-    `sys.stderr` of that moment."""
-    parser = argparse.ArgumentParser(
-        prog="softbitop",
-        description="Decide pairwise separation and compactness properties of "
-        "finite soft bitopological spaces and verify the theory on them.",
+# The command line is read by hand.  Grammar, help, usage and error
+# messages are those of the CLI's earlier, generated parser, pinned byte
+# for byte by tests/goldens/cli_surface.json: each help below is its
+# output at 80 columns, and a usage is its help's first paragraph.  Keyed
+# by command; None is the top level.
+HELP = {
+    None: """\
+usage: softbitop [-h] [--version] {check,verify,examples,search} ...
+
+Decide pairwise separation and compactness properties of finite soft
+bitopological spaces and verify the theory on them.
+
+positional arguments:
+  {check,verify,examples,search}
+    check               run all deciders on a space
+    verify              run the theorem harness
+    examples            reproduce the built-in scenarios against pinned
+                        outcomes
+    search              counterexample census
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    **{
+        command: f"""\
+usage: softbitop {command} [-h] [--json] [input]
+
+positional arguments:
+  input       JSON file ('-' for stdin)
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON report
+"""
+        for command in ("check", "verify")
+    },
+    "examples": """\
+usage: softbitop examples [-h] [--json]
+
+options:
+  -h, --help  show this help message and exit
+  --json      emit a JSON report
+""",
+    "search": """\
+usage: softbitop search [-h] [--max-universe MAX_UNIVERSE]
+                        [--max-params MAX_PARAMS] [--json]
+
+options:
+  -h, --help            show this help message and exit
+  --max-universe MAX_UNIVERSE
+  --max-params MAX_PARAMS
+  --json                emit a JSON report
+""",
+}
+
+# Each parser's options, in the order an ambiguous prefix's matches are
+# listed.
+OPTIONS = {
+    None: ("-h", "--help", "--version"),
+    "check": ("-h", "--help", "--json"),
+    "verify": ("-h", "--help", "--json"),
+    "examples": ("-h", "--help", "--json"),
+    "search": ("-h", "--help", "--max-universe", "--max-params", "--json"),
+}
+
+
+def _error(command: str | None, message: str):
+    """Print the usage of `command` (None: the top level) and `message` to
+    stderr, and exit 2."""
+    usage = HELP[command][: HELP[command].index("\n\n") + 1]
+    prog = "softbitop" if command is None else f"softbitop {command}"
+    sys.stderr.write(f"{usage}{prog}: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _classify(args: list[str], command: str | None) -> list:
+    """How each argument before the first `--` reads against the options
+    of `command`: None for a positional, else a pair (option, explicit
+    value or None), the option None if the parser has no such option.
+    Unique prefixes of long options are read as the option, and `-hX` as
+    `-h` with the explicit value X.  An ambiguous prefix is an error,
+    raised before any option acts."""
+    options = OPTIONS[command]
+    found = []
+    for arg in args[: args.index("--") if "--" in args else len(args)]:
+        name, eq, value = arg.partition("=")
+        if arg[:1] != "-" or arg == "-":
+            found.append(None)
+        elif arg in options:
+            found.append((arg, None))
+        elif eq and name in options:
+            found.append((name, value))
+        elif arg[1] == "-" and (matches := [o for o in options if o.startswith(name)]):
+            if len(matches) > 1:
+                _error(
+                    command,
+                    f"ambiguous option: {arg} could match {', '.join(matches)}",
+                )
+            found.append((matches[0], value if eq else None))
+        elif arg[1] == "h":
+            found.append(("-h", arg[2:]))
+        elif re.match(r"^-\d+$|^-\d*\.\d+$", arg) or " " in arg:
+            found.append(None)  # a negative number, or text with a space
+        else:
+            found.append((None, None))
+    return found
+
+
+def _flag(command: str | None, option: str, value: str | None) -> None:
+    """Act on one of the options that take no argument: print help or the
+    version and exit 0, or exit 2 when it was given an explicit value.
+    Short options may run together: `-hh` is `-h -h`."""
+    if option == "-h" and value and not value.lstrip("h"):
+        value = None
+    if value is not None:
+        name = "-h/--help" if option in ("-h", "--help") else option
+        shown = value.lstrip("h") if option == "-h" else value
+        _error(command, f"argument {name}: ignored explicit argument {shown!r}")
+    if option == "--version":
+        sys.stdout.write(f"{__version__}\n")
+        raise SystemExit(0)
+    if option != "--json":
+        sys.stdout.write(HELP[command])
+        raise SystemExit(0)
+
+
+def parse_args(argv: Sequence[str]) -> SimpleNamespace:
+    """The command and its settings named by `argv`.  Help and `--version`
+    print and exit 0 when they are reached; an error prints usage and
+    message to stderr and exits 2, with the command's usage for errors in
+    its options' values and the top-level usage otherwise."""
+    argv = list(argv)
+    extras: list[str] = []
+    found = _classify(argv, None)
+    i = 0
+    while i < len(found) and found[i] is not None:
+        option, value = found[i]
+        if option is None:
+            extras.append(argv[i])
+        else:
+            _flag(None, option, value)
+        i += 1
+    if argv[i:] in ([], ["--"]):
+        _error(None, "the following arguments are required: command")
+    command = argv[i]
+    if command not in OPTIONS:
+        _error(
+            None,
+            f"argument command: invalid choice: {command!r} "
+            "(choose from 'check', 'verify', 'examples', 'search')",
+        )
+    args = SimpleNamespace(
+        command=command, input=None, json=False, max_universe=2, max_params=2
     )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    rest = argv[i + 1 :]
+    found = _classify(rest, command)
+    end = len(found)  # the index of the `--` that ends the options, if any
+    takes_input = command in ("check", "verify")
+    i = 0
+    while i < len(rest):
+        if i >= end or found[i] is None:
+            # A positional, or that `--`.  check and verify read the first
+            # positional as their input, and a `--` on either side of it
+            # is dropped.
+            if not takes_input:
+                extras.append(rest[i])
+                i += 1
+                continue
+            takes_input = False
+            if i == end:
+                i += 1
+            if i < len(rest):
+                args.input = rest[i]
+                i += 1
+                if i == end < len(rest):
+                    i += 1
+            continue
+        option, value = found[i]
+        i += 1
+        if option is None:
+            extras.append(rest[i - 1])
+        elif option.startswith("--max-"):
+            if value is None:
+                if i == end or found[i] is not None:
+                    _error(command, f"argument {option}: expected one argument")
+                value = rest[i]
+                i += 1
+            try:
+                setattr(args, option[2:].replace("-", "_"), int(value))
+            except ValueError:
+                _error(command, f"argument {option}: invalid int value: {value!r}")
+        else:
+            _flag(command, option, value)  # returns only for --json
+            args.json = True
+    if extras:
+        _error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
 
-    p_check = sub.add_parser("check", help="run all deciders on a space")
-    p_check.add_argument("input", nargs="?", help="JSON file ('-' for stdin)")
-    add_common(p_check)
-
-    p_verify = sub.add_parser("verify", help="run the theorem harness")
-    p_verify.add_argument("input", nargs="?", help="JSON file ('-' for stdin)")
-    add_common(p_verify)
-
-    p_examples = sub.add_parser(
-        "examples", help="reproduce the built-in scenarios against pinned outcomes"
-    )
-    add_common(p_examples)
-
-    p_search = sub.add_parser("search", help="counterexample census")
-    p_search.add_argument("--max-universe", type=int, default=2)
-    p_search.add_argument("--max-params", type=int, default=2)
-    add_common(p_search)
-    return parser
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     start = time.monotonic()
     try:
         if args.command in ("check", "verify"):

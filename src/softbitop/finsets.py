@@ -8,12 +8,15 @@ require; the plain case is carrier == full universe.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from operator import attrgetter, or_
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
 
+# Type checkers read TYPE_CHECKING as true; at run time softtop, which
+# imports this module, is not imported from here.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .softtop import SEFamily
 
@@ -204,7 +207,7 @@ def is_topology_masks(masks: set[int], carrier: int) -> bool:
 
 
 def is_topology(
-    opens: Iterable[FinSet], n: int, carrier: Optional[FinSet] = None
+    opens: Iterable[FinSet], n: int, carrier: FinSet | None = None
 ) -> bool:
     """Check the (finite) topology axioms: empty and carrier present, closed
     under unions and intersections (`is_topology_masks`)."""
@@ -231,7 +234,7 @@ class ClassicalTopology(Value):
         cls,
         opens: Iterable[FinSet],
         n: int,
-        carrier: Optional[FinSet] = None,
+        carrier: FinSet | None = None,
     ) -> "ClassicalTopology":
         """Validate the axioms and canonicalize the family."""
         if carrier is None:
@@ -288,7 +291,7 @@ def _canonical_opens(opens: Iterable[FinSet], n: int) -> tuple[FinSet, ...]:
 
 
 def generate_topology(
-    subbase: Iterable[FinSet], n: int, carrier: Optional[FinSet] = None
+    subbase: Iterable[FinSet], n: int, carrier: FinSet | None = None
 ) -> ClassicalTopology:
     """Smallest topology on the carrier containing the subbase.
 
@@ -308,7 +311,7 @@ def generate_topology(
 
 
 def enumerate_topologies(
-    n: int, carrier: Optional[FinSet] = None
+    n: int, carrier: FinSet | None = None
 ) -> list[ClassicalTopology]:
     """All labeled topologies on the carrier, in a fixed deterministic order.
 
@@ -384,7 +387,7 @@ class BitopPair(Value):
         )
 
 
-Witness = Optional[tuple[int, int]]
+Witness = tuple[int, int] | None
 
 
 # Some member contains x and misses y iff x lies in the union of the
@@ -456,7 +459,7 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
     return True, None
 
 
-def _min_cover(masks: Sequence[int], target: int) -> Optional[tuple[int, ...]]:
+def _min_cover(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
     """The least subfamily (by size, then lexicographically by index) whose
     masks cover target, or None.  Each size is searched depth first in index
     order, so the first hit is the one `combinations` order gives.  A branch
@@ -468,7 +471,7 @@ def _min_cover(masks: Sequence[int], target: int) -> Optional[tuple[int, ...]]:
     for i in reversed(range(n)):
         suffix[i] = suffix[i + 1] | masks[i] & target
 
-    def search(start: int, left: int, uncovered: int) -> Optional[tuple[int, ...]]:
+    def search(start: int, left: int, uncovered: int) -> tuple[int, ...] | None:
         if not uncovered:
             return ()
         for i in range(start, n - left + 1):

@@ -4,11 +4,11 @@ an exhaustive counterexample search on small carriers."""
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from functools import cache, cached_property, reduce
 from itertools import chain, islice, product
 from math import prod
 from operator import or_
-from typing import Callable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NotACoverError
 from .finsets import (
@@ -192,7 +192,7 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
 
 def _t0_row(
     es: ElementSpace, tau1: SoftTopology, tau2: SoftTopology
-) -> Optional[tuple[int, int]]:
+) -> tuple[int, int] | None:
     """The first soft element i whose T0 row is nonzero, with its row, or
     None when the pair is pairwise soft T0."""
     n1, n2 = tau1.least_opens, tau2.least_opens

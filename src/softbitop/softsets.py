@@ -11,10 +11,10 @@ bit per cell: cell t * universe_size + x stands for point x at parameter t.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError, NoSoftElementsError
 from .finsets import FinSet, Value
@@ -325,7 +325,7 @@ def se_of_softset(space: ElementSpace, h: SoftSet) -> SESubset:
     return SESubset(space, space.inside(flat_soft_set(h)))
 
 
-def is_se_representable(k: SESubset) -> tuple[bool, Optional[SoftElement]]:
+def is_se_representable(k: SESubset) -> tuple[bool, SoftElement | None]:
     """Is k the full soft-element set of some soft subset of the ambient?
 
     The sectionwise hull H(t) := k(t) is the only candidate; k is

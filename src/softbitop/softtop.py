@@ -4,11 +4,11 @@ they induce on the enumerated soft elements."""
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
 from itertools import compress
 from math import prod
 from operator import or_
-from typing import Iterable, Optional, Sequence
 
 from .errors import CapacityError, InputError
 from .finsets import ClassicalTopology, FinSet, Value, _least, bits
@@ -336,7 +336,7 @@ class SEFamily(Value):
 
 
 def induced_topology(
-    tau: SoftTopology, space: Optional[ElementSpace] = None
+    tau: SoftTopology, space: ElementSpace | None = None
 ) -> SEFamily:
     """The family of soft-element subsets whose every section is open in
     the matching component topology.

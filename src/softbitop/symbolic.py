@@ -8,7 +8,7 @@ the finitely many exceptional labels, decides any sectionwise statement.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from collections.abc import Iterable, Mapping
 
 from .errors import InputError, NotACoverError
 from .finsets import FinSet, Value, _min_cover
@@ -46,7 +46,7 @@ class CofiniteSoftSet(Value):
         cls,
         universe_size: int,
         default_section: FinSet,
-        exceptions: Optional[Mapping[int, FinSet]] = None,
+        exceptions: Mapping[int, FinSet] | None = None,
     ) -> "CofiniteSoftSet":
         """Normalizing constructor: drops exceptions equal to the default."""
         items = tuple(
@@ -77,7 +77,7 @@ class TemplateFamily(Value):
     """
 
     universe_size: int
-    template: Optional[tuple[FinSet, FinSet]]
+    template: tuple[FinSet, FinSet] | None
     explicit_members: tuple[CofiniteSoftSet, ...] = ()
 
     def __post_init__(self) -> None:
@@ -147,7 +147,7 @@ class SubcoverDecision(Value):
     """Finite-subcover verdict with a verified witness or a certificate."""
 
     holds: bool
-    witness: Optional[tuple[CofiniteSoftSet, ...]]
+    witness: tuple[CofiniteSoftSet, ...] | None
     generic_union: FinSet
     detail: str
 

@@ -1,4 +1,3 @@
-import argparse
 import contextlib
 import io
 import json
@@ -775,12 +774,12 @@ def test_parse_to_doc_round_trip(fixture):
     assert again.to_doc() == desc.to_doc()
 
 
-# ---------------------------------------------------------------- shared parser
+# ---------------------------------------------------------------- command line
 
 
 def run_in_process(argv):
     """Exit code, stdout and stderr of one `main` call, the `elapsed` line
-    left out; argparse's exits are caught."""
+    left out; the parser's exits (`SystemExit`) are caught."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -803,10 +802,8 @@ REPEATED = (
 
 
 def test_repeated_main_calls_give_the_first_calls_bytes():
-    """The parser is built on the first call and shared by later ones: they
-    print the same bytes and exit with the same codes, and no default
-    leaks from one call into the next."""
-    cli.build_parser.cache_clear()
+    """Later calls in the process print the first calls' bytes and exit
+    with their codes, and no default leaks from one call into the next."""
     first = [run_in_process(argv) for argv in REPEATED]
     for _ in range(2):
         assert [run_in_process(argv) for argv in REPEATED] == first
@@ -821,21 +818,17 @@ def test_repeated_main_calls_give_the_first_calls_bytes():
     assert version == (0, "0.1.0\n", "")
 
 
-def test_parser_is_built_once_per_process(monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
+CLI_SURFACE = json.loads((GOLDENS / "cli_surface.json").read_text())["cases"]
 
-    def counting(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
-    cli.build_parser.cache_clear()
-    for _ in range(5):
-        assert run_in_process(["check", INDISCRETE])[0] == 0
-        assert run_in_process(["search", "--max-universe", "1"])[0] == 0
-    # the top-level parser and one per subcommand
-    assert len(built) == 5
+@pytest.mark.parametrize(
+    "case", CLI_SURFACE, ids=[" ".join(c["argv"]) or "(none)" for c in CLI_SURFACE]
+)
+def test_cli_surface_matches_golden(monkeypatch, case):
+    """Help, usage, errors and exit codes are the bytes argparse printed
+    when it parsed the command line (tests/goldens/cli_surface.json)."""
+    monkeypatch.chdir(HERE.parent)
+    assert run_in_process(case["argv"]) == (case["code"], case["stdout"], case["stderr"])
 
 
 # ---------------------------------------------------------------- entry point
@@ -853,14 +846,20 @@ def test_console_script_version():
 
 def test_import_runs_no_dataclass_code_generation():
     """The package's classes derive from `finsets.Value`, which generates
-    no code per class: importing the package and its CLI in a bare
-    interpreter leaves `dataclasses` unimported."""
+    no code per class, annotations take nothing from `typing`, and the
+    command line is parsed by hand: importing the package and its CLI in
+    a bare interpreter and running one `check` leaves `dataclasses`,
+    `typing` and `argparse` unimported, with the `shutil`, `gettext` and
+    `locale` that argparse's help formatting and messages import."""
     src = str(HERE.parent / "src")
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import softbitop, softbitop.cli; "
-        "print('dataclasses' in sys.modules)"
+        f"code = softbitop.cli.main(['check', {INDISCRETE!r}]); "
+        "names = 'dataclasses', 'typing', 'argparse', 'shutil', 'gettext', 'locale'; "
+        "print(code, [name for name in names if name in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-E", "-S", "-c", code], capture_output=True, text=True
     )
-    assert (out.returncode, out.stdout, out.stderr) == (0, "False\n", "")
+    assert out.returncode == 0 and out.stderr.startswith("elapsed: ")
+    assert out.stdout.splitlines()[-1] == "0 []"
