@@ -405,8 +405,10 @@ def _load_doc(path: str | None) -> dict:
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"input is not UTF-8: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
 

@@ -32,9 +32,10 @@ class Value:
     """Base of the package's value classes.  The fields are the class's
     annotations, in order; a value given in the class body is the field's
     default, and defaults come last.  Instances take their fields by
-    position or keyword, then run `__post_init__`; they compare, hash and
-    print by the tuple of their fields and refuse assignment.  No code is
-    generated per class, so defining one costs no start-up time."""
+    position or keyword (or in order, to a subclass's own `__init__`), then
+    run `__post_init__`; they compare, hash, print and pickle by the tuple
+    of their fields and refuse assignment.  No code is generated per
+    class, so defining one costs no start-up time."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
@@ -63,12 +64,18 @@ class Value:
         pass
 
     def __eq__(self, other: object) -> bool:
+        # Most comparisons meet one shared object: those build no keys.
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._key(self) == self._key(other)
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._key(self)
 
     def __repr__(self) -> str:
         shown = map("{}={!r}".format, self._fields, self._key(self))
@@ -95,17 +102,6 @@ class FinSet(Value):
             raise InputError("bitmask has bits outside the universe")
         object.__setattr__(self, "universe_size", universe_size)
         object.__setattr__(self, "mask", mask)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FinSet:
-            return NotImplemented
-        return self.mask == other.mask and self.universe_size == other.universe_size
-
-    def __hash__(self) -> int:
-        return hash((self.universe_size, self.mask))
-
-    def __reduce__(self) -> tuple:
-        return FinSet, (self.universe_size, self.mask)
 
     @classmethod
     def of(cls, members: Iterable[int], universe_size: int) -> "FinSet":

@@ -70,28 +70,20 @@ class Separation(Value):
 class SoftBitopSpace(Value):
     """A soft set carrying an ordered pair of soft topologies.
 
-    space is the soft set's ElementSpace.  It is built here unless one is
-    given, so that many spaces on one soft set can share one.  It is not a
-    field: equality, hashing and repr ignore it.
+    space is the soft set's ElementSpace, built with the value.  The soft
+    set fixes it, so it is no field: equality, hashing and repr ignore it.
     """
 
     soft_set: SoftSet
     tau1: SoftTopology
     tau2: SoftTopology
 
-    def __init__(self, soft_set, tau1, tau2, space: ElementSpace = None) -> None:
-        self.__dict__["space"] = space
-        super().__init__(soft_set, tau1, tau2)
-
     def __post_init__(self) -> None:
         if self.tau1.ambient != self.soft_set or self.tau2.ambient != self.soft_set:
             raise InputError("both topologies must live on the given soft set")
         if any(s.is_empty for s in self.soft_set.sections):
             raise InputError("all sections of the carrier must be nonempty")
-        if self.space is None:
-            object.__setattr__(self, "space", ElementSpace(self.soft_set))
-        elif self.space.soft_set != self.soft_set:
-            raise InputError("element space does not match the soft set")
+        self.__dict__["space"] = ElementSpace(self.soft_set)
 
     @cached_property
     def induced(self) -> tuple[SEFamily, SEFamily]:

@@ -52,17 +52,6 @@ class SoftSet(Value):
                 raise InputError("sections must share a universe size")
         object.__setattr__(self, "sections", sections)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not SoftSet:
-            return NotImplemented
-        return self.sections == other.sections
-
-    def __hash__(self) -> int:
-        return hash((self.sections,))
-
-    def __reduce__(self) -> tuple:
-        return SoftSet, (self.sections,)
-
     @classmethod
     def of(
         cls, section_members: Sequence[Iterable[int]], universe_size: int
@@ -135,7 +124,9 @@ class ElementSpace:
     Elements are ordered lexicographically, parameter index major.  All
     subset work downstream indexes into this fixed order.  The space is
     checked and counted when built; every table, the element list
-    included, is built on first use.
+    included, is built on first use.  The soft set alone fixes all of
+    that, so a space is a value of its soft set: it compares, hashes and
+    prints as that soft set, whatever tables it has built.
     """
 
     def __init__(self, soft_set: SoftSet):
@@ -155,6 +146,22 @@ class ElementSpace:
         # Induced families by the open masks of their component topologies,
         # filled by softtop.induced_topology.
         self.induced_families: dict[tuple, object] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ElementSpace:
+            return NotImplemented
+        return self.soft_set == other.soft_set
+
+    def __hash__(self) -> int:
+        return hash(self.soft_set)
+
+    def __repr__(self) -> str:
+        return f"ElementSpace(soft_set={self.soft_set!r})"
+
+    def __getstate__(self) -> dict:
+        # Memoised families point back here and, rebuilt before this state
+        # is set, could not check their masks: copies start without them.
+        return {**vars(self), "induced_families": {}}
 
     @cached_property
     def elements(self) -> tuple[SoftElement, ...]:
@@ -266,16 +273,6 @@ class SESubset(Value):
         if self.mask < 0 or self.mask >> self.space.size:
             raise InputError("bitmask has bits beyond the soft-element list")
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SESubset)
-            and self.space.soft_set == other.space.soft_set
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space.soft_set, self.mask))
-
     def members(self) -> tuple[SoftElement, ...]:
         return tuple(
             e for i, e in enumerate(self.space.elements) if self.mask >> i & 1
@@ -311,7 +308,7 @@ class SESubset(Value):
         )
 
     def _check_same_space(self, other: "SESubset") -> None:
-        if self.space.soft_set != other.space.soft_set:
+        if self.space != other.space:
             raise InputError("subsets live over different soft sets")
 
 

@@ -6,9 +6,9 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from itertools import compress
+from itertools import compress, islice
 from math import prod
-from operator import or_
+from operator import lt, or_
 
 from .errors import CapacityError, InputError
 from .finsets import ClassicalTopology, FinSet, Value, _least, bits
@@ -211,7 +211,7 @@ def _shift_up(packed: int, size: int, i: int) -> int:
 
 
 class SEFamily(Value):
-    """A finite family of soft-element subsets, masks sorted ascending.
+    """A finite family of soft-element subsets, masks strictly ascending.
 
     The induced families are of this type.  Such a family is union-closed
     but not a topology in general, so it does not pose as a
@@ -223,15 +223,12 @@ class SEFamily(Value):
     space: ElementSpace
     masks: tuple[int, ...]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SEFamily)
-            and self.space.soft_set == other.space.soft_set
-            and self.masks == other.masks
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.space.soft_set, self.masks))
+    def __post_init__(self) -> None:
+        m = self.masks
+        if not all(map(lt, m, islice(m, 1, None))) or m and (
+            m[0] < 0 or m[-1] >> self.space.size
+        ):
+            raise InputError("family masks must ascend strictly, each below 2^|SE|")
 
     def contains_mask(self, mask: int) -> bool:
         return mask in self._mask_set

@@ -532,12 +532,27 @@ def test_missing_file_exit(capsys):
     assert "input error" in err
 
 
-def test_malformed_json_exit(capsys, tmp_path):
+def test_malformed_json_exit(capsys, tmp_path, monkeypatch):
+    """Bytes that are not JSON, not UTF-8, or nested past the JSON
+    decoder's depth are input errors, from a path and from stdin read by a
+    strict decoder.  Whether 2,000 levels pass the decoder depends on the
+    interpreter's recursion limit; past it or not, the document is
+    refused with an input error."""
+    payloads = {
+        b"{not json": "input error: invalid JSON",
+        b"\xff\xfe{": "input error: input is not UTF-8",
+        b"[" * 2000 + b"]" * 2000: "input error: ",
+    }
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _, err = run_cli(capsys, "check", str(bad))
-    assert code == 2
-    assert "invalid JSON" in err
+    for payload, start in payloads.items():
+        bad.write_bytes(payload)
+        for command in ("check", "verify"):
+            for source in (str(bad), "-"):
+                stdin = io.TextIOWrapper(io.BytesIO(payload), "utf-8", "strict")
+                monkeypatch.setattr(sys, "stdin", stdin)
+                code, out, err = run_cli(capsys, command, source)
+                assert (code, out) == (2, ""), (payload[:4], command, source)
+                assert err.startswith(start) and err.count("\n") == 1, err
 
 
 def test_unknown_name_exit(capsys, tmp_path):

@@ -238,10 +238,9 @@ def test_soft_deciders_on_sampled_3x2_pool_pairs():
     both of its verdicts are left to the carriers of the next test."""
     pool = candidate_soft_topologies(3, 2)
     ambient = pool[0].ambient
-    space = ElementSpace(ambient)
     tally = Counter()
     for i, j in sampled_3x2_pool_pairs(pool):
-        sp = SoftBitopSpace(ambient, pool[i], pool[j], space)
+        sp = SoftBitopSpace(ambient, pool[i], pool[j])
         for k, (fast, slow) in enumerate(soft_cases(sp)):
             assert fast == slow, (k, i, j)
             tally[k, fast.holds] += 1
@@ -531,10 +530,10 @@ def assert_cover_rows_agree(space):
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
 def test_cover_rows_on_all_pool_pairs(n, p):
     pool = candidate_soft_topologies(n, p)
-    es = ElementSpace(pool[0].ambient)
+    ambient = pool[0].ambient
     transports = Counter()
     for tau1, tau2 in product(pool, repeat=2):
-        space = SoftBitopSpace(es.soft_set, tau1, tau2, space=es)
+        space = SoftBitopSpace(ambient, tau1, tau2)
         transports[assert_cover_rows_agree(space)] += 1
     # At p = 1 every topology is its own enlargement, so canonical.
     assert transports[True] and bool(transports[None]) == (p > 1), transports
@@ -764,11 +763,10 @@ def test_induced_verdicts_of_the_indiscrete_pair_by_shape(sizes):
 def test_induced_verdicts_on_all_pool_pairs(n, p):
     pool = candidate_soft_topologies(n, p)
     ambient = pool[0].ambient
-    es = ElementSpace(ambient)
     tally = Counter()
     for tau1 in pool:
         for tau2 in pool:
-            space = SoftBitopSpace(ambient, tau1, tau2, es)
+            space = SoftBitopSpace(ambient, tau1, tau2)
             assert_induced_verdicts_agree(space)
             tally[space.separation.induced] += 1
     assert len(tally) > 1, tally
@@ -779,9 +777,8 @@ def test_induced_verdicts_on_sampled_3x2_pool_pairs():
     shape (3, 3), where every induced pair holds all three."""
     pool = candidate_soft_topologies(3, 2)
     ambient = pool[0].ambient
-    es = ElementSpace(ambient)
     for i, j in sampled_3x2_pool_pairs(pool):
-        space = SoftBitopSpace(ambient, pool[i], pool[j], es)
+        space = SoftBitopSpace(ambient, pool[i], pool[j])
         assert_induced_verdicts_agree(space)
         assert space.separation.induced == (True, True, True), (i, j)
 
@@ -804,7 +801,6 @@ def test_induced_t2_of_every_2x2_component_combination():
         if pad is not None:
             sections.insert(pad, [0])
         ambient = SoftSet.of(sections, 2)
-        es = ElementSpace(ambient)
         holds = 0
         for a, b, c, d in product(topos, repeat=4):
             (d1t, d1s, d2t, d2s) = (len(sigma.opens) == 4 for sigma in (a, b, c, d))
@@ -814,7 +810,7 @@ def test_induced_t2_of_every_2x2_component_combination():
                 for sigma in sigmas:
                     sigma.insert(pad, point)
             tau1, tau2 = (canonical_topology(ambient, s) for s in sigmas)
-            space = SoftBitopSpace(ambient, tau1, tau2, es)
+            space = SoftBitopSpace(ambient, tau1, tau2)
             assert induced_by_table(space) == (True, True, closed_form), (pad, sigmas)
             assert space.separation.induced == (True, True, closed_form)
             holds += closed_form

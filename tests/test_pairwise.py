@@ -178,10 +178,9 @@ def test_space_requires_matching_ambient():
     with pytest.raises(InputError):
         SoftBitopSpace(LINE, soft_indiscrete(SQUARE), soft_indiscrete(SQUARE))
     tau = soft_indiscrete(SQUARE)
-    with pytest.raises(InputError):
-        SoftBitopSpace(SQUARE, tau, tau, ElementSpace(LINE))
-    shared = ElementSpace(SQUARE)
-    assert SoftBitopSpace(SQUARE, tau, tau, shared).space is shared
+    with pytest.raises(TypeError):
+        SoftBitopSpace(SQUARE, tau, tau, ElementSpace(SQUARE))
+    assert SoftBitopSpace(SQUARE, tau, tau).space == ElementSpace(SQUARE)
 
 
 # ---------------------------------------------------------------- views

@@ -16,15 +16,17 @@ from softbitop import (
     SoftTopology,
     canonical_topology,
 )
+from softbitop.errors import InputError
 from softbitop.pairwise import Verdict
-from softbitop.softsets import ElementSpace
-from softbitop.softtop import SEFamily
+from softbitop.softsets import ElementSpace, SESubset
+from softbitop.softtop import SEFamily, induced_topology
 from softbitop.symbolic import CofiniteSoftSet
 
 SMALL, WHOLE = FinSet(2, 1), FinSet(2, 3)
 AMBIENT = SoftSet((WHOLE, WHOLE))
 SIGMA = ClassicalTopology.build([FinSet(2, 0), SMALL, WHOLE], 2)
 TAU = canonical_topology(AMBIENT, [SIGMA, SIGMA])
+SPACE = ElementSpace(AMBIENT)
 
 # Each class with keyword arguments naming all of its fields, in order.
 FIELDS = {
@@ -33,6 +35,8 @@ FIELDS = {
     ClassicalTopology: {"universe_size": 2, "carrier": WHOLE, "opens": SIGMA.opens},
     SoftTopology: {"ambient": AMBIENT, "flat_opens": TAU.flat_opens},
     SoftBitopSpace: {"soft_set": AMBIENT, "tau1": TAU, "tau2": TAU},
+    SEFamily: {"space": SPACE, "masks": (0, 3, 15)},
+    SESubset: {"space": SPACE, "mask": 5},
     Verdict: {"holds": False, "witness": (0, 1), "detail": "x"},
     CofiniteSoftSet: {"universe_size": 2, "default_section": SMALL, "exceptions": ((4, WHOLE),)},
 }
@@ -86,6 +90,14 @@ def test_reprs():
     )
     assert repr(Verdict(True)) == "Verdict(holds=True, witness=None, detail='')"
     assert repr(Verdict(False, (1, 2), "x")) == "Verdict(holds=False, witness=(1, 2), detail='x')"
+    space = ElementSpace(SoftSet.of([[0], [1]], 2))
+    shown = (
+        "ElementSpace(soft_set=SoftSet(sections=(FinSet(universe_size=2, mask=1), "
+        "FinSet(universe_size=2, mask=2))))"
+    )
+    assert repr(space) == shown
+    assert repr(SEFamily(space, (0, 1))) == f"SEFamily(space={shown}, masks=(0, 1))"
+    assert repr(SESubset(space, 1)) == f"SESubset(space={shown}, mask=1)"
 
 
 def test_defaults_and_keywords_mix():
@@ -105,13 +117,27 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
 
 
 def test_space_is_not_compared_hashed_or_shown():
-    built = SoftBitopSpace(AMBIENT, TAU, TAU)
-    given = SoftBitopSpace(AMBIENT, TAU, TAU, space=ElementSpace(AMBIENT))
-    assert built.space is not given.space
-    assert built.space.soft_set == given.space.soft_set == AMBIENT
-    assert built == given and hash(built) == hash(given)
-    assert repr(built) == repr(given)
+    built, again = SoftBitopSpace(AMBIENT, TAU, TAU), SoftBitopSpace(AMBIENT, TAU, TAU)
+    assert built.space is not again.space
+    assert built.space == again.space == SPACE
+    assert built == again and hash(built) == hash(again)
+    assert repr(built) == repr(again)
     assert "space=" not in repr(built)
+    with pytest.raises(TypeError):
+        SoftBitopSpace(AMBIENT, TAU, TAU, SPACE)
+    with pytest.raises(TypeError):
+        SoftBitopSpace(AMBIENT, TAU, TAU, space=SPACE)
+
+
+def test_element_space_is_a_value_of_its_soft_set():
+    """Two spaces built on equal soft sets are equal, hash as their soft
+    set, and stay equal after one of them has built its tables."""
+    first, second = ElementSpace(AMBIENT), ElementSpace(SoftSet((WHOLE, WHOLE)))
+    first.flat_sections
+    assert first is not second and first == second
+    assert hash(first) == hash(second) == hash(AMBIENT)
+    assert first != ElementSpace(SoftSet((SMALL, WHOLE)))
+    assert first.__eq__(AMBIENT) is NotImplemented and first != AMBIENT
 
 
 def test_se_family_is_frozen_and_compares_by_soft_set_and_masks():
@@ -125,3 +151,25 @@ def test_se_family_is_frozen_and_compares_by_soft_set_and_masks():
     assert family.masks == (0, 3)
     assert family == SEFamily(ElementSpace(AMBIENT), (0, 3))
     assert hash(family) == hash((AMBIENT, (0, 3)))
+
+
+def test_memoised_induced_family_copies_and_pickles():
+    """The space memoises the family induced on it, and the family refers
+    back to the space: a copy or pickle rebuilds both, the space with an
+    empty memo."""
+    family = induced_topology(TAU, ElementSpace(AMBIENT))
+    assert family.space.induced_families
+    pickles = [pickle.loads(pickle.dumps(family, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in (copy.deepcopy(family), *pickles):
+        assert twin == family and hash(twin) == hash(family)
+        assert twin.space.induced_families == {}
+        assert twin.minimal_members == family.minimal_members
+
+
+@pytest.mark.parametrize("masks", [(0, 1 << SPACE.size), (0, -1), (-1, 0), (3, 0, 15), (0, 3, 3)])
+def test_se_family_masks_ascend_strictly_within_the_space(masks):
+    """Each mask lies in [0, 2^|SE|) and the masks strictly ascend, so
+    one family has one value: (3, 0, 15) is refused, not unequal to
+    (0, 3, 15)."""
+    with pytest.raises(InputError):
+        SEFamily(SPACE, masks)
