@@ -402,12 +402,16 @@ def cmd_search(max_universe: int, max_params: int, as_json: bool, out) -> int:
 def _load_doc(path: str | None) -> dict:
     try:
         if path is None or path == "-":
-            return json.load(sys.stdin)
+            # Under a C or POSIX locale stdin passes bytes that are not
+            # UTF-8 through as lone surrogates; decoding them again reports
+            # the bytes as reading them from a path does.
+            raw = sys.stdin.read().encode("utf-8", "surrogateescape")
+            return json.loads(raw.decode("utf-8"))
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except UnicodeError as exc:
         raise InputError(f"input is not UTF-8: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc

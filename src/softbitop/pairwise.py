@@ -36,7 +36,6 @@ from .softtop import (
     canonical_topology,
     check_finest_open_projections,
     component_topology,
-    induced_topology,
     is_canonical,
     reconstruct,
 )
@@ -68,11 +67,7 @@ class Separation(Value):
 
 
 class SoftBitopSpace(Value):
-    """A soft set carrying an ordered pair of soft topologies.
-
-    space is the soft set's ElementSpace, built with the value.  The soft
-    set fixes it, so it is no field: equality, hashing and repr ignore it.
-    """
+    """A soft set carrying an ordered pair of soft topologies."""
 
     soft_set: SoftSet
     tau1: SoftTopology
@@ -83,13 +78,17 @@ class SoftBitopSpace(Value):
             raise InputError("both topologies must live on the given soft set")
         if any(s.is_empty for s in self.soft_set.sections):
             raise InputError("all sections of the carrier must be nonempty")
-        self.__dict__["space"] = ElementSpace(self.soft_set)
+        self.space  # refuses a soft set past SE_MATERIALIZATION_LIMIT
 
-    @cached_property
+    @property
+    def space(self) -> ElementSpace:
+        """The soft elements of the carrier (`SoftSet.space`)."""
+        return self.soft_set.space
+
+    @property
     def induced(self) -> tuple[SEFamily, SEFamily]:
         """The families induced by tau1 and tau2 on the soft elements."""
-        taus = (self.tau1, self.tau2)
-        return tuple(induced_topology(tau, self.space) for tau in taus)
+        return self.tau1.induced, self.tau2.induced
 
     @cached_property
     def separation(self) -> Separation:
@@ -103,9 +102,7 @@ class SoftBitopSpace(Value):
         soft = (pairwise_soft_t0(self), pairwise_soft_t1(self), pairwise_soft_t2(self))
         p = self.soft_set.param_count
         components = tuple(_verdicts(component_bitop(self, t)) for t in range(p))
-        induced = induced_verdicts(
-            self.space, self.tau1, self.tau2, components.__getitem__
-        )
+        induced = induced_verdicts(self.tau1, self.tau2, components.__getitem__)
         return Separation(soft, components, induced)
 
 
@@ -114,15 +111,14 @@ def _verdicts(pair: BitopPair) -> tuple[bool, bool, bool]:
 
 
 def induced_verdicts(
-    es: ElementSpace,
     tau1: SoftTopology,
     tau2: SoftTopology,
     component: Callable[[int], tuple[bool, bool, bool]],
 ) -> tuple[bool, bool, bool]:
-    """T0/T1/T2 of the pair the two topologies induce on the soft elements
-    of es, read from the carrier's shape (README, "A note on the verified
-    theory", Claim A).  Let k be the number of sections with two or more
-    points:
+    """T0/T1/T2 of the pair that two topologies on one carrier induce on
+    its soft elements, read from the carrier's shape (README, "A note on
+    the verified theory", Claim A).  Let k be the number of sections with
+    two or more points:
     - k = 0: one soft element, and all three hold;
     - k = 1, at parameter t: the induced pair is the component pair at t
       relabelled, so its verdicts are component(t);
@@ -130,13 +126,12 @@ def induced_verdicts(
       (exactly two such sections, of two points each), where T2 of the
       4-element induced pair is decided on its subset tables.
     """
-    sizes = {t: len(s) for t, s in enumerate(es.soft_set.sections) if len(s) > 1}
+    sizes = {t: len(s) for t, s in enumerate(tau1.ambient.sections) if len(s) > 1}
     if len(sizes) == 1:
         (t,) = sizes
         return component(t)
     if list(sizes.values()) == [2, 2]:
-        families = (induced_topology(tau, es) for tau in (tau1, tau2))
-        return True, True, pairwise_t2(BitopPair(*families))[0]
+        return True, True, pairwise_t2(BitopPair(tau1.induced, tau2.induced))[0]
     return True, True, True
 
 
@@ -176,17 +171,16 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     cheap around part comes first and `inside` runs only on a nonzero
     remainder.  Exact for any finite families.
     """
-    hit = _t0_row(space.space, space.tau1, space.tau2)
+    hit = _t0_row(space.tau1, space.tau2)
     if hit is None:
         return Verdict(True)
     return _unseparated(space, *hit, "least unseparated pair")
 
 
-def _t0_row(
-    es: ElementSpace, tau1: SoftTopology, tau2: SoftTopology
-) -> tuple[int, int] | None:
+def _t0_row(tau1: SoftTopology, tau2: SoftTopology) -> tuple[int, int] | None:
     """The first soft element i whose T0 row is nonzero, with its row, or
-    None when the pair is pairwise soft T0."""
+    None when the two topologies on one carrier are pairwise soft T0."""
+    es = tau1.ambient.space
     n1, n2 = tau1.least_opens, tau2.least_opens
     h1, h2 = tau1.holders, tau2.holders
     for i, a in enumerate(es.flat_elements):
@@ -556,7 +550,6 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
     for n in range(1, max_universe + 1):
         for p in range(1, max_params + 1):
             pool = candidate_soft_topologies(n, p)
-            space = ElementSpace(pool[0].ambient)  # the ambient of every entry
             for idx, tau in enumerate(pool):
                 if not is_canonical(tau):
                     enlarged = prod(len(c.opens) for c in tau.components)
@@ -574,19 +567,20 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
                 return _topology_descriptor(pool[idx])
 
             # Every entry lives on the pool's one ambient, whose sections
-            # are full: the pairs are decided on the entries and one element
-            # space, so no pair builds or validates a SoftBitopSpace.  Only
-            # the 2x2 shape builds induced families (`induced_verdicts`).
+            # are full, and shares its element space: the pairs are decided
+            # on the entries, so no pair builds or validates a
+            # SoftBitopSpace.  Only the 2x2 shape builds induced families
+            # (`induced_verdicts`), one per entry.
             for i, tau1 in enumerate(pool):
                 for j, tau2 in enumerate(pool):
-                    if _t0_row(space, tau1, tau2) is None:
+                    if _t0_row(tau1, tau2) is None:
                         continue
 
                     def component(t: int) -> tuple[bool, bool, bool]:
                         pair = BitopPair(tau1.components[t], tau2.components[t])
                         return _verdicts(pair)
 
-                    if induced_verdicts(space, tau1, tau2, component)[2]:
+                    if induced_verdicts(tau1, tau2, component)[2]:
                         class_i.append(
                             {
                                 "universe_size": n,

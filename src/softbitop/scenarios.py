@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .finsets import FinSet, Value, pairwise_t1, pairwise_t2
 from .pairwise import SoftBitopSpace, induced_bitop, pairwise_soft_t0
-from .softsets import ElementSpace, SoftSet, is_se_representable
+from .softsets import SoftSet, is_se_representable
 from .softtop import SoftTopology
 from .symbolic import CofiniteSoftSet, TemplateFamily, cf_is_cover, decide_finite_subcover
 
@@ -27,8 +27,7 @@ def non_representable_subset() -> ScenarioOutcome:
     any soft subset H."""
     names = ["x1", "x2", "x3", "x4"]
     f = SoftSet.of([[0, 1], [2, 3]], 4)
-    space = ElementSpace(f)
-    k = space.subset_of([(0, 2), (1, 3)])
+    k = f.space.subset_of([(0, 2), (1, 3)])
     representable, witness = is_se_representable(k)
     expected_witness = (0, 3)  # (x1, x4)
     ok = (not representable) and witness == expected_witness

@@ -40,7 +40,7 @@ def check_filtration_guard(size: int) -> None:
 class SoftSet(Value):
     """A parameter-indexed family of sections over a common universe."""
 
-    __slots__ = ("sections",)
+    __slots__ = ("sections", "_space")
     sections: tuple[FinSet, ...]
 
     def __init__(self, sections: tuple[FinSet, ...]) -> None:
@@ -84,6 +84,17 @@ class SoftSet(Value):
     def is_null(self) -> bool:
         return all(s.is_empty for s in self.sections)
 
+    @property
+    def space(self) -> "ElementSpace":
+        """SE(F), the soft elements of this soft set, built on first use
+        and kept: every holder of this soft set shares one space.  The
+        space is no field, so copies and pickles start without it."""
+        try:
+            return self._space
+        except AttributeError:
+            object.__setattr__(self, "_space", ElementSpace(self))
+            return self._space
+
 
 def flat_soft_set(h: SoftSet) -> int:
     """All sections of h in one int, section t shifted by t * universe_size."""
@@ -126,7 +137,8 @@ class ElementSpace:
     checked and counted when built; every table, the element list
     included, is built on first use.  The soft set alone fixes all of
     that, so a space is a value of its soft set: it compares, hashes and
-    prints as that soft set, whatever tables it has built.
+    prints as that soft set, whatever tables it has built.  Each soft set
+    builds one (`SoftSet.space`).
     """
 
     def __init__(self, soft_set: SoftSet):
@@ -143,9 +155,6 @@ class ElementSpace:
         self.soft_set = soft_set
         self.size = count
         self._factors = factor_members
-        # Induced families by the open masks of their component topologies,
-        # filled by softtop.induced_topology.
-        self.induced_families: dict[tuple, object] = {}
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not ElementSpace:
@@ -157,11 +166,6 @@ class ElementSpace:
 
     def __repr__(self) -> str:
         return f"ElementSpace(soft_set={self.soft_set!r})"
-
-    def __getstate__(self) -> dict:
-        # Memoised families point back here and, rebuilt before this state
-        # is set, could not check their masks: copies start without them.
-        return {**vars(self), "induced_families": {}}
 
     @cached_property
     def elements(self) -> tuple[SoftElement, ...]:
@@ -260,7 +264,7 @@ class ElementSpace:
 
 def enumerate_soft_elements(f: SoftSet) -> tuple[SoftElement, ...]:
     """The soft elements of f in lexicographic order."""
-    return ElementSpace(f).elements
+    return f.space.elements
 
 
 class SESubset(Value):

@@ -22,7 +22,7 @@ from .softsets import (
 )
 
 # Sectionwise product guard for canonical topologies.
-CANONICAL_PRODUCT_LIMIT = 1 << 20
+CANONICAL_PRODUCT_LIMIT = 1 << 18
 
 
 def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
@@ -80,10 +80,6 @@ class SoftTopology(Value):
         return flat_soft_set(h) in self.flat_open_set
 
     @cached_property
-    def _space(self) -> ElementSpace:
-        return ElementSpace(self.ambient)
-
-    @cached_property
     def least_cells(self) -> tuple[int, ...]:
         """For each cell c, U(c), the least open around c, as a flat soft
         set; 0 for a cell outside the ambient.  A soft topology is a finite
@@ -101,10 +97,8 @@ class SoftTopology(Value):
         """For each soft element a, in ElementSpace order, N(a), the least
         open containing a: the OR of U(c) over the cells c of a, as a soft
         element lies in an open iff each of its cells does."""
-        u = self.least_cells
-        return tuple(
-            reduce(or_, [u[c] for c in bits(a)]) for a in self._space.flat_elements
-        )
+        u, elements = self.least_cells, self.ambient.space.flat_elements
+        return tuple(reduce(or_, [u[c] for c in bits(a)]) for a in elements)
 
     @cached_property
     def holders(self) -> tuple[int, ...]:
@@ -112,7 +106,7 @@ class SoftTopology(Value):
         open N(j) holds c: the OR of `ElementSpace.cell_elements[d]` over
         the cells d whose U(d) holds c."""
         out = [0] * len(self.least_cells)
-        for u, elements in zip(self.least_cells, self._space.cell_elements):
+        for u, elements in zip(self.least_cells, self.ambient.space.cell_elements):
             for c in bits(u):
                 out[c] |= elements
         return tuple(out)
@@ -126,6 +120,12 @@ class SoftTopology(Value):
     def enlargement(self) -> "SoftTopology":
         """The canonical topology built from the component topologies."""
         return canonical_topology(self.ambient, self.components)
+
+    @cached_property
+    def induced(self) -> "SEFamily":
+        """The family this topology induces on the soft elements of its
+        ambient (`induced_topology`), built on first use."""
+        return induced_topology(self)
 
     def __len__(self) -> int:
         return len(self.flat_opens)
@@ -332,11 +332,9 @@ class SEFamily(Value):
         return len(self.masks)
 
 
-def induced_topology(
-    tau: SoftTopology, space: ElementSpace | None = None
-) -> SEFamily:
+def induced_topology(tau: SoftTopology) -> SEFamily:
     """The family of soft-element subsets whose every section is open in
-    the matching component topology.
+    the matching component topology, over the ambient's element space.
 
     Computed by exhaustive filtration of all subsets, which is exact: the
     family is defined by a sectionwise membership predicate, not by a
@@ -346,26 +344,16 @@ def induced_topology(
     intersections of sections.  The sections of every subset are read
     from `ElementSpace.flat_sections`, which enforces the filtration guard,
     and each distinct entry is tested once against the component opens.
-
-    The family depends only on the component topologies, so it is built
-    once per element space and tuple of component opens, and every later
-    call with equal components returns the same object.
+    Each call builds a new family; `SoftTopology.induced` keeps one.
     """
-    if space is None:
-        space = ElementSpace(tau.ambient)
-    elif space.soft_set != tau.ambient:
-        raise InputError("element space does not match the topology's ambient")
-    key = tuple(c.open_masks for c in tau.components)
-    family = space.induced_families.get(key)
-    if family is None:
-        flat = space.flat_sections
-        n = tau.ambient.universe_size
-        full = (1 << n) - 1
-        opens = list(enumerate(map(set, key)))
-        passed = {f for f in set(flat) if all(f >> t * n & full in o for t, o in opens)}
-        keep = compress(range(len(flat)), map(passed.__contains__, flat))
-        family = space.induced_families[key] = SEFamily(space, tuple(keep))
-    return family
+    space = tau.ambient.space
+    flat = space.flat_sections
+    n = tau.ambient.universe_size
+    full = (1 << n) - 1
+    opens = [(t, set(c.open_masks)) for t, c in enumerate(tau.components)]
+    passed = {f for f in set(flat) if all(f >> t * n & full in o for t, o in opens)}
+    keep = compress(range(len(flat)), map(passed.__contains__, flat))
+    return SEFamily(space, tuple(keep))
 
 
 def _sections_open(family: SEFamily, sigmas: Sequence[ClassicalTopology]) -> bool:

@@ -52,11 +52,11 @@ and the components from a cache per soft topology.
 the subcover row cuts a `SoftCover` of every open, held as a `SoftSet`;
 the transport row builds each cylinder with `cylinder` and cuts the
 cylinder cover; and the reconstruction row filters the family the
-reconstructed topology induces (`softtop.induced_topology`, on an element
-space of its own) and tests the input's members in it.  Both covers are
-cut by this module's `find_finite_subcover`.  The library runs the cover
-kernel on the flat opens and flat cylinders, and decides containment
-from the input's sections alone.
+reconstructed topology induces (`softtop.induced_topology`) and tests the
+input's members in it.  Both covers are cut by this module's
+`find_finite_subcover`.  The library runs the cover kernel on the flat
+opens and flat cylinders, and decides containment from the input's
+sections alone.
 """
 
 from __future__ import annotations
@@ -649,7 +649,7 @@ def cover_rows(space: SoftBitopSpace) -> tuple[bool, int, Optional[bool], bool]:
             for t, masks in enumerate(u.sections)
         ]
         tau_hat = canonical_topology(ambient, sigmas)
-        induced = softtop.induced_topology(tau_hat, ElementSpace(ambient))
+        induced = softtop.induced_topology(tau_hat)
         return set(induced.masks).issuperset(u.masks)
 
     return covered, len(sub), transport, all(map(contained, space.induced))

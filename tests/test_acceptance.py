@@ -117,7 +117,7 @@ def test_criterion_2_indiscrete_pair_induced_separation():
     start = time.monotonic()
     sp = indiscrete_square()
     t0 = pairwise_soft_t0(sp)
-    fam = induced_topology(sp.tau1, sp.space)
+    fam = induced_topology(sp.tau1)
     has_diag = fam.contains_mask(0b1001)  # {(0,0),(1,1)}
     has_anti = fam.contains_mask(0b0110)  # {(0,1),(1,0)}
     induced_pair = BitopPair(fam, fam)

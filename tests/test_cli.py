@@ -222,6 +222,54 @@ def test_past_the_filtration_guard_nothing_is_decided(
     assert builds == {}
 
 
+def write_discrete_1_parameter_space(tmp_path, points: int) -> str:
+    """`fixtures/discrete_16x1.json` on `points` points: one parameter,
+    the discrete topology against {}, {u0} and all points."""
+    names = [f"u{i}" for i in range(points)]
+    doc = {
+        "universe": names,
+        "params": ["a1"],
+        "sections": {"a1": names},
+        "topologies": [
+            {"generate": "canonical", "subbases": {"a1": [[u] for u in names]}},
+            {"generate": "canonical", "subbases": {"a1": [["u0"]]}},
+        ],
+    }
+    return _write_doc(tmp_path, doc)
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_canonical_product_guard_refuses_19_points(capsys, tmp_path, command):
+    """The discrete topology on 19 points x 1 parameter has 2^19 canonical
+    opens, past the guard of 2^18: refused before a decider runs.  Under a
+    guard of 2^20 it was decided, in about 5 s (check) and 14 s (verify)
+    on a 2-vCPU host, past the 10-s target."""
+    code, out, err = run_cli(
+        capsys, command, write_discrete_1_parameter_space(tmp_path, 19)
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "capacity error: canonical topology would have 524288 opens; "
+        "guard is 262144\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_one_element_space_per_document(capsys, monkeypatch, command):
+    """The carrier builds its soft elements once: the space, both
+    topologies and the induced families all read that one element space."""
+    built = Counter()
+    init = ElementSpace.__init__
+
+    def counting(self, soft_set):
+        built["ElementSpace"] += 1
+        init(self, soft_set)
+
+    monkeypatch.setattr(ElementSpace, "__init__", counting)
+    code, _, _ = run_cli(capsys, command, str(FIXTURES / "se20_b.json"))
+    assert (code, built) == (0, {"ElementSpace": 1})
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_malformed_document_past_the_filtration_guard_exits_2(
     capsys, tmp_path, command
@@ -414,6 +462,7 @@ def test_verify_decides_cover_and_reconstruction_rows_flat(monkeypatch):
     monkeypatch.setattr(SoftTopology, "opens", property(forbidden))
     for name in ("cylinder", "find_finite_subcover", "SoftCover"):
         monkeypatch.setattr(pairwise, name, forbidden)
+    space.induced  # the two families verify reads, built before the ban
     monkeypatch.setattr(softtop, "induced_topology", forbidden)
     report = pairwise.verify_theorems(space)
     assert report.all_passed
@@ -535,24 +584,31 @@ def test_missing_file_exit(capsys):
 def test_malformed_json_exit(capsys, tmp_path, monkeypatch):
     """Bytes that are not JSON, not UTF-8, or nested past the JSON
     decoder's depth are input errors, from a path and from stdin read by a
-    strict decoder.  Whether 2,000 levels pass the decoder depends on the
-    interpreter's recursion limit; past it or not, the document is
-    refused with an input error."""
+    strict decoder or by one that passes bytes that are not UTF-8 through
+    as lone surrogates (`surrogateescape`, Python's stdin under a C or
+    POSIX locale).  Each payload gets one message from every source.
+    Whether 2,000 levels pass the decoder depends on the interpreter's
+    recursion limit; past it or not, the document is refused with an
+    input error."""
     payloads = {
         b"{not json": "input error: invalid JSON",
         b"\xff\xfe{": "input error: input is not UTF-8",
         b"[" * 2000 + b"]" * 2000: "input error: ",
     }
+    sources = ((None, "strict"), ("-", "strict"), ("-", "surrogateescape"))
     bad = tmp_path / "bad.json"
     for payload, start in payloads.items():
         bad.write_bytes(payload)
+        messages = set()
         for command in ("check", "verify"):
-            for source in (str(bad), "-"):
-                stdin = io.TextIOWrapper(io.BytesIO(payload), "utf-8", "strict")
+            for source, errors in sources:
+                stdin = io.TextIOWrapper(io.BytesIO(payload), "utf-8", errors)
                 monkeypatch.setattr(sys, "stdin", stdin)
-                code, out, err = run_cli(capsys, command, source)
-                assert (code, out) == (2, ""), (payload[:4], command, source)
+                code, out, err = run_cli(capsys, command, source or str(bad))
+                assert (code, out) == (2, ""), (payload[:4], command, source, errors)
                 assert err.startswith(start) and err.count("\n") == 1, err
+                messages.add(err)
+        assert len(messages) == 1, messages
 
 
 def test_unknown_name_exit(capsys, tmp_path):

@@ -146,8 +146,7 @@ def assert_family_agree(first, second):
 
 def assert_induced_pairs_of_pool_agree(n, p):
     pool = candidate_soft_topologies(n, p)
-    space = ElementSpace(pool[0].ambient)
-    induced = [induced_topology(tau, space) for tau in pool]
+    induced = [induced_topology(tau) for tau in pool]
     for first in induced:
         for second in induced:
             assert_family_agree(first, second)
@@ -173,7 +172,7 @@ def test_classical_deciders_on_induced_pairs_of_random_carriers():
             continue
         tau1 = random_soft_topology(rng, ambient)
         tau2 = random_soft_topology(rng, ambient)
-        first, second = induced_topology(tau1, space), induced_topology(tau2, space)
+        first, second = induced_topology(tau1), induced_topology(tau2)
         assert_family_agree(first, second)
         verdicts[pairwise_t2(BitopPair(first, second))[0]] += 1
     assert verdicts[True] and verdicts[False], verdicts
@@ -577,7 +576,7 @@ def assert_induced_paths_agree(tau, candidates):
     """The induced family of tau, and the projection check of tau and the
     reconstruction on each candidate family, against the oracles."""
     space = candidates[0].space
-    assert induced_topology(tau, space) == oracles.induced_topology(tau, space)
+    assert induced_topology(tau) == oracles.induced_topology(tau, space)
     for u in candidates:
         assert check_finest_open_projections(
             tau, u
@@ -612,10 +611,8 @@ def assert_sections_agree(family):
 
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
 def test_family_sections_on_induced_families_of_pool(n, p):
-    pool = candidate_soft_topologies(n, p)
-    space = ElementSpace(pool[0].ambient)
-    for tau in pool:
-        assert_sections_agree(induced_topology(tau, space))
+    for tau in candidate_soft_topologies(n, p):
+        assert_sections_agree(induced_topology(tau))
 
 
 def test_family_sections_on_random_carriers():
@@ -626,7 +623,7 @@ def test_family_sections_on_random_carriers():
         ambient = random_wide_carrier(rng)
         space = ElementSpace(ambient)
         tau = random_soft_topology(rng, ambient)
-        assert_sections_agree(induced_topology(tau, space))
+        assert_sections_agree(induced_topology(tau))
         masks = {rng.randrange(1 << space.size) for _ in range(rng.randrange(4))}
         assert_sections_agree(SEFamily(space, tuple(sorted(masks))))
 
@@ -822,7 +819,7 @@ def test_enlargement_induces_the_same_family(n, p):
     """The canonical enlargement induces the family of the topology it
     enlarges, which the enlargement row of `verify_theorems` relies on: the
     family of each entry against the oracle's filtration of the entry's
-    enlargement, which shares no memo with it.  At 3x2 on the entries of
+    enlargement, on an element space of its own.  At 3x2 on the entries of
     the seeded sample."""
     pool = candidate_soft_topologies(n, p)
     es = ElementSpace(pool[0].ambient)
@@ -830,7 +827,7 @@ def test_enlargement_induces_the_same_family(n, p):
         pool = [pool[k] for k in sorted(set(chain(*sampled_3x2_pool_pairs(pool))))]
     for tau in pool:
         expected = oracles.induced_topology(tau.enlargement, es)
-        assert induced_topology(tau, es).masks == expected.masks, tau.flat_opens
+        assert induced_topology(tau).masks == expected.masks, tau.flat_opens
 
 
 @st.composite

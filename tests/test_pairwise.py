@@ -183,6 +183,14 @@ def test_space_requires_matching_ambient():
     assert SoftBitopSpace(SQUARE, tau, tau).space == ElementSpace(SQUARE)
 
 
+def test_space_past_the_materialization_guard_is_refused_when_built():
+    """2 points x 21 parameters hold 2^21 soft elements, past
+    SE_MATERIALIZATION_LIMIT: the space is refused when it is built,
+    before anything is decided on it."""
+    with pytest.raises(CapacityError, match="soft-element count 2097152 exceeds"):
+        indiscrete_space(SoftSet.of([range(2)] * 21, 2))
+
+
 # ---------------------------------------------------------------- views
 
 
@@ -485,12 +493,12 @@ def test_search_deterministic():
     assert a == b
 
 
-@pytest.mark.parametrize("bounds, built", [((2, 2), 31), ((3, 1), 37)])
+@pytest.mark.parametrize("bounds, built", [((2, 2), 4), ((3, 1), 3)])
 def test_search_shares_element_spaces(monkeypatch, bounds, built):
-    """One element space per shape (n, p), shared by every pair and
-    induced family, plus one per pool topology for its least opens."""
+    """One element space per shape (n, p), the space of the pool's one
+    ambient, shared by every pool topology, pair and induced family."""
     shapes = [(n, p) for n in range(1, bounds[0] + 1) for p in range(1, bounds[1] + 1)]
-    assert len(shapes) + sum(len(candidate_soft_topologies(*s)) for s in shapes) == built
+    assert len(shapes) == built
     count = Counter()
     init = ElementSpace.__init__
 

@@ -200,8 +200,7 @@ def test_canonical_enlargement_preserves_components():
 
 def test_induced_of_soft_indiscrete():
     tau = soft_indiscrete(SQUARE)
-    space = ElementSpace(SQUARE)
-    fam = induced_topology(tau, space)
+    fam = induced_topology(tau)
     # elements in lex order: (0,0)=0 (0,1)=1 (1,0)=2 (1,1)=3
     assert fam.contains_mask(0) and fam.contains_mask(0b1111)
     assert fam.contains_mask(0b1001)  # diagonal {(0,0),(1,1)}
@@ -231,13 +230,6 @@ def test_induced_on_21_one_point_parameters():
     ambient = SoftSet.of([[0]] * 21, 1)
     tau = SoftTopology.build([SoftSet.null(21, 1), ambient], ambient)
     assert induced_topology(tau).masks == (0, 1)
-
-
-def test_induced_mismatched_space():
-    tau = soft_indiscrete(SQUARE)
-    other = ElementSpace(SoftSet.of([[0], [0, 1]], 2))
-    with pytest.raises(InputError):
-        induced_topology(tau, other)
 
 
 def test_induced_union_closed_not_intersection_closed():
@@ -317,7 +309,7 @@ def test_induced_union_closed_randomized():
         except Exception:
             continue
         tau = random_soft_topology(rng, ambient)
-        fam = induced_topology(tau, space)
+        fam = induced_topology(tau)
         masks = set(fam.masks)
         assert 0 in masks and (1 << space.size) - 1 in masks
         for a in masks:
@@ -331,7 +323,7 @@ def test_induced_contains_se_of_every_open():
         ambient = random_carrier(rng)
         space = ElementSpace(ambient)
         tau = random_soft_topology(rng, ambient)
-        fam = induced_topology(tau, space)
+        fam = induced_topology(tau)
         for h in tau.opens:
             assert fam.contains_mask(se_of_softset(space, h).mask)
 
@@ -342,7 +334,7 @@ def test_induced_contains_se_of_every_open():
 def test_finest_open_projections():
     tau = soft_indiscrete(SQUARE)
     space = ElementSpace(SQUARE)
-    fam = induced_topology(tau, space)
+    fam = induced_topology(tau)
     assert check_finest_open_projections(tau, fam)
     small = SEFamily(space, (0, 0b1111))
     assert check_finest_open_projections(tau, small)
@@ -357,7 +349,7 @@ def test_finest_open_projections_randomized():
         ambient = random_carrier(rng)
         space = ElementSpace(ambient)
         tau = random_soft_topology(rng, ambient)
-        fam = induced_topology(tau, space)
+        fam = induced_topology(tau)
         assert check_finest_open_projections(tau, fam)
         # every passing candidate is contained in the induced family
         import random as _r
@@ -391,7 +383,7 @@ def test_reconstruct_diagonal_family():
     # the diagonal's sections are full, so nothing new is generated
     for sigma in out.sigmas:
         assert set(sigma.open_masks) == {0, 0b11}
-    fam = induced_topology(out.soft_topology, space)
+    fam = induced_topology(out.soft_topology)
     assert all(fam.contains_mask(m) for m in u.masks)
     # containment is strict here: the induced family has more members
     assert len(fam) > len(u)

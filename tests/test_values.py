@@ -19,7 +19,7 @@ from softbitop import (
 from softbitop.errors import InputError
 from softbitop.pairwise import Verdict
 from softbitop.softsets import ElementSpace, SESubset
-from softbitop.softtop import SEFamily, induced_topology
+from softbitop.softtop import SEFamily
 from softbitop.symbolic import CofiniteSoftSet
 
 SMALL, WHOLE = FinSet(2, 1), FinSet(2, 3)
@@ -118,8 +118,8 @@ def test_wrong_arguments_raise_type_error(args, kwargs):
 
 def test_space_is_not_compared_hashed_or_shown():
     built, again = SoftBitopSpace(AMBIENT, TAU, TAU), SoftBitopSpace(AMBIENT, TAU, TAU)
-    assert built.space is not again.space
-    assert built.space == again.space == SPACE
+    assert built.space is again.space is AMBIENT.space
+    assert built.space == SPACE
     assert built == again and hash(built) == hash(again)
     assert repr(built) == repr(again)
     assert "space=" not in repr(built)
@@ -154,16 +154,18 @@ def test_se_family_is_frozen_and_compares_by_soft_set_and_masks():
 
 
 def test_memoised_induced_family_copies_and_pickles():
-    """The space memoises the family induced on it, and the family refers
-    back to the space: a copy or pickle rebuilds both, the space with an
-    empty memo."""
-    family = induced_topology(TAU, ElementSpace(AMBIENT))
-    assert family.space.induced_families
+    """The topology keeps the family induced on its ambient's space, which
+    the ambient keeps: a copy or pickle of the family rebuilds its space,
+    and one of the topology or ambient starts without either."""
+    family = TAU.induced
+    assert family is TAU.induced and family.space is AMBIENT.space
     pickles = [pickle.loads(pickle.dumps(family, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     for twin in (copy.deepcopy(family), *pickles):
         assert twin == family and hash(twin) == hash(family)
-        assert twin.space.induced_families == {}
         assert twin.minimal_members == family.minimal_members
+    for twin in (copy.deepcopy(TAU), pickle.loads(pickle.dumps(TAU))):
+        assert twin == TAU and "induced" not in vars(twin)
+        assert twin.ambient == AMBIENT and not hasattr(twin.ambient, "_space")
 
 
 @pytest.mark.parametrize("masks", [(0, 1 << SPACE.size), (0, -1), (-1, 0), (3, 0, 15), (0, 3, 3)])
