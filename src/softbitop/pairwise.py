@@ -135,66 +135,54 @@ def induced_verdicts(
     return True, True, True
 
 
-# The soft T0 and T1 deciders test least soft opens
-# (SoftTopology.least_opens) instead of scanning pairs of opens.  An open
-# around a that misses b exists iff N(a), the least open around a, misses
-# b: every open around a contains N(a).
+# The soft T0 and T1 deciders read least soft opens
+# (SoftTopology.least_opens) instead of scanning pairs of opens.  Every
+# open around a contains N(a), the least open around a, so b lies in every
+# open around a iff N(b) is inside N(a).  Soft T0 is then the injectivity
+# of a -> (N1(a), N2(a)) on the soft elements: one hash per soft element.
 #
-# Each of the two builds one row mask per soft element i: the soft
-# elements j for which the ordered pair (i, j) is not separated.  A row is
-# a few big-int operations on tables with one mask of soft elements per
+# Soft T1 builds one row mask per soft element i, the j for which (i, j)
+# is not separated, from two tables with one mask of soft elements per
 # cell of the flat layout (`softsets.flat_soft_set`):
 # - ElementSpace.inside(f), the soft elements lying in the flat soft set f;
 # - around(i), the AND of SoftTopology.holders over the cells of element
 #   i: the soft elements j with i in N(j).
 # Rows are built in the order of the brute-force scan, i-major, so the
 # lowest set bit of the first nonzero row is the least witness.  A row
-# costs O(|SE|.cells) bit operations, the tables are built once per
-# topology, and no |SE| x |SE| matrix is ever held.  Soft T2 reads no
-# table: it is decided from the carrier's shape (README, Claim B).
+# costs O(|SE|.cells) bit operations, and no |SE| x |SE| matrix is ever
+# held.  Soft T2 reads no table: it is decided from the carrier's shape
+# (README, Claim B).
 
 
-def _unseparated(space: SoftBitopSpace, i: int, row: int, detail: str) -> Verdict:
-    """The failing verdict at soft element i and the lowest j of its row."""
-    elems = space.space.elements
-    return Verdict(False, (elems[i], elems[(row & -row).bit_length() - 1]), detail)
+def _unseparated(space: SoftBitopSpace, pair: tuple, detail: str) -> Verdict:
+    """The failing verdict at the soft elements of an index pair."""
+    return Verdict(False, tuple(map(space.space.element, pair)), detail)
+
+
+def _soft_t0(tau1: SoftTopology, tau2: SoftTopology) -> bool:
+    """Two topologies on one carrier are pairwise soft T0 iff no two soft
+    elements share their pair of least opens."""
+    n1 = tau1.least_opens
+    return len(set(zip(n1, tau2.least_opens))) == len(n1)
 
 
 def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     """Some open of either topology contains exactly one of any two
     distinct soft elements.
 
-    Decided as: b lies outside N1(a) or N2(a), or a lies outside N1(b) or
-    N2(b).  Row i is inside(N1(i) & N2(i)) & around1(i) & around2(i), cut
-    to j > i: the later soft elements in both least opens of i whose two
-    least opens both hold i.  The search runs this once per pair, so the
-    cheap around part comes first and `inside` runs only on a nonzero
-    remainder.  Exact for any finite families.
+    Decided as: a -> (N1(a), N2(a)) is injective, since a and b are
+    unseparated iff N1(a) = N1(b) and N2(a) = N2(b).  On failure the least
+    pair of the brute-force scan, i-major, is (i, j): i the least first
+    index of a repeated pair of least opens, j the next index sharing it.
+    Exact for any finite families.
     """
-    hit = _t0_row(space.tau1, space.tau2)
-    if hit is None:
+    if _soft_t0(space.tau1, space.tau2):
         return Verdict(True)
-    return _unseparated(space, *hit, "least unseparated pair")
-
-
-def _t0_row(tau1: SoftTopology, tau2: SoftTopology) -> tuple[int, int] | None:
-    """The first soft element i whose T0 row is nonzero, with its row, or
-    None when the two topologies on one carrier are pairwise soft T0."""
-    es = tau1.ambient.space
-    n1, n2 = tau1.least_opens, tau2.least_opens
-    h1, h2 = tau1.holders, tau2.holders
-    for i, a in enumerate(es.flat_elements):
-        row = -(2 << i)  # every j > i
-        while a:
-            low = a & -a
-            c = low.bit_length() - 1
-            row &= h1[c] & h2[c]
-            a ^= low
-        if row:
-            row &= es.inside(n1[i] & n2[i])
-        if row:
-            return i, row
-    return None
+    first: dict[tuple[int, int], int] = {}
+    keys = zip(space.tau1.least_opens, space.tau2.least_opens)
+    pairs = [(first.setdefault(k, j), j) for j, k in enumerate(keys)]
+    pair = min(p for p in pairs if p[0] < p[1])
+    return _unseparated(space, pair, "least unseparated pair")
 
 
 def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
@@ -212,7 +200,8 @@ def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
             around &= h2[c]
         row = (es.inside(n1[i]) | around) & ~(1 << i)
         if row:
-            return _unseparated(space, i, row, "least unseparated ordered pair")
+            pair = i, (row & -row).bit_length() - 1
+            return _unseparated(space, pair, "least unseparated ordered pair")
     return Verdict(True)
 
 
@@ -573,7 +562,7 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
             # (`induced_verdicts`), one per entry.
             for i, tau1 in enumerate(pool):
                 for j, tau2 in enumerate(pool):
-                    if _t0_row(tau1, tau2) is None:
+                    if _soft_t0(tau1, tau2):
                         continue
 
                     def component(t: int) -> tuple[bool, bool, bool]:

@@ -175,6 +175,14 @@ class ElementSpace:
     def _index(self) -> dict[SoftElement, int]:
         return {e: i for i, e in enumerate(self.elements)}
 
+    def element(self, i: int) -> SoftElement:
+        """elements[i], decoded by mixed radix without the element list."""
+        out = []
+        for ms in reversed(self._factors):
+            i, r = divmod(i, len(ms))
+            out.append(ms[r])
+        return tuple(reversed(out))
+
     def index_of(self, elem: SoftElement) -> int:
         try:
             return self._index[tuple(elem)]
@@ -342,5 +350,4 @@ def is_se_representable(k: SESubset) -> tuple[bool, SoftElement | None]:
     extra = blown_up.mask & ~k.mask
     if extra == 0:
         return True, None
-    least = (extra & -extra).bit_length() - 1
-    return False, k.space.elements[least]
+    return False, k.space.element((extra & -extra).bit_length() - 1)

@@ -5,10 +5,10 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterable, Sequence
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, islice
 from math import prod
-from operator import lt, or_
+from operator import lt
 
 from .errors import CapacityError, InputError
 from .finsets import ClassicalTopology, FinSet, Value, _least, bits
@@ -96,9 +96,13 @@ class SoftTopology(Value):
     def least_opens(self) -> tuple[int, ...]:
         """For each soft element a, in ElementSpace order, N(a), the least
         open containing a: the OR of U(c) over the cells c of a, as a soft
-        element lies in an open iff each of its cells does."""
-        u, elements = self.least_cells, self.ambient.space.flat_elements
-        return tuple(reduce(or_, [u[c] for c in bits(a)]) for a in elements)
+        element lies in an open iff each of its cells does.  Built column
+        by column over the sections, as `ElementSpace.elements` is."""
+        u, n, out = self.least_cells, self.ambient.universe_size, [0]
+        for t, ms in enumerate(self.ambient.space._factors):
+            column = [u[t * n + x] for x in ms]
+            out = [o | c for o in out for c in column]
+        return tuple(out)
 
     @cached_property
     def holders(self) -> tuple[int, ...]:

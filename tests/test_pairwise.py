@@ -37,6 +37,8 @@ from softbitop.finsets import _min_cover
 from softbitop.pairwise import Verdict, candidate_soft_topologies
 from softbitop.softsets import flat_soft_set
 
+import oracles
+
 SQUARE = SoftSet.of([[0, 1], [0, 1]], 2)
 LINE = SoftSet.of([[0, 1]], 2)
 
@@ -110,10 +112,12 @@ def test_soft_deciders_memory_on_16384_soft_elements():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    first, second = space.space.elements[:2]
+    first, second = (0,) * 14, (0,) * 13 + (1,)
     assert [v.holds for v in verdicts] == [False] * 3
     assert [v.witness for v in verdicts] == [(first, second)] * 3
     assert peak < 8 << 20, peak
+    # The witnesses are decoded from their indices: no element list.
+    assert "elements" not in vars(space.space)
 
 
 def side_2x11(x):
@@ -166,6 +170,33 @@ def test_soft_t2_on_a_million_soft_elements():
         False, (zero, last), "least unseparated ordered pair"
     )
     assert "elements" not in vars(space.space)
+
+
+def test_soft_t0_witness_is_the_least_pair_of_the_scan():
+    """4 points x 1 parameter, both topologies {{}, {0, 3}, {1, 2}, all}:
+    the least opens repeat in the order A B B A, so (1, 2) is the first
+    repeat met and (0, 3) the least pair of the i-major scan."""
+    ambient = SoftSet.of([range(4)], 4)
+    opens = [SoftSet.of([ms], 4) for ms in ([], [0, 3], [1, 2], range(4))]
+    tau = SoftTopology.build(opens, ambient)
+    space = SoftBitopSpace(ambient, tau, tau)
+    assert tau.least_opens == (0b1001, 0b0110, 0b0110, 0b1001)
+    verdict = pairwise_soft_t0(space)
+    assert verdict == oracles.pairwise_soft_t0(space)
+    assert (verdict.holds, verdict.witness) == (False, ((0,), (3,)))
+
+
+def test_soft_t0_reads_no_holders(monkeypatch):
+    """Soft T0 is decided on the least opens alone, in the decider and in
+    the search."""
+
+    def refuse(tau):
+        raise AssertionError("holders read")
+
+    monkeypatch.setattr(SoftTopology, "holders", property(refuse))
+    assert not pairwise_soft_t0(indiscrete_space()).holds
+    assert pairwise_soft_t0(discrete_space()).holds
+    assert len(search_counterexamples(2, 2).not_t0_but_induced_t2) == 11
 
 
 def test_mixed_pair_soft_t0():

@@ -176,6 +176,16 @@ def test_cell_tables_agree_with_element_walk():
             assert space.inside(flat_soft_set(h)) == walk
 
 
+def test_element_decodes_its_index():
+    """element(i) is elements[i] for every index of every carrier on up
+    to 3 points and 4 parameters, read without building the list."""
+    for carrier in small_carriers(3**4):
+        space = ElementSpace(carrier)
+        decoded = [space.element(i) for i in range(space.size)]
+        assert "elements" not in vars(space)
+        assert decoded == list(space.elements), carrier.key
+
+
 def test_flat_sections_guard_refuses_before_allocating():
     # 3 * 8 = 24 soft elements, past the guard of 20
     space = ElementSpace(SoftSet.of([range(3), range(8)], 8))
