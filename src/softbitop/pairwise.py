@@ -16,7 +16,6 @@ from .finsets import (
     FinSet,
     Value,
     _min_cover,
-    bits,
     enumerate_topologies,
     pairwise_t0,
     pairwise_t1,
@@ -140,18 +139,8 @@ def induced_verdicts(
 # open around a contains N(a), the least open around a, so b lies in every
 # open around a iff N(b) is inside N(a).  Soft T0 is then the injectivity
 # of a -> (N1(a), N2(a)) on the soft elements: one hash per soft element.
-#
-# Soft T1 builds one row mask per soft element i, the j for which (i, j)
-# is not separated, from two tables with one mask of soft elements per
-# cell of the flat layout (`softsets.flat_soft_set`):
-# - ElementSpace.inside(f), the soft elements lying in the flat soft set f;
-# - around(i), the AND of SoftTopology.holders over the cells of element
-#   i: the soft elements j with i in N(j).
-# Rows are built in the order of the brute-force scan, i-major, so the
-# lowest set bit of the first nonzero row is the least witness.  A row
-# costs O(|SE|.cells) bit operations, and no |SE| x |SE| matrix is ever
-# held.  Soft T2 reads no table: it is decided from the carrier's shape
-# (README, Claim B).
+# Soft T1 holds iff every N1(a) and N2(a) is a alone.  Soft T2 reads no
+# table: it is decided from the carrier's shape (README, Claim B).
 
 
 def _unseparated(space: SoftBitopSpace, pair: tuple, detail: str) -> Verdict:
@@ -189,20 +178,38 @@ def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
     """Each ordered pair (a, b) is split by an open of the first topology
     around a and one of the second around b.
 
-    Decided as: b is not in N1(a) and a is not in N2(b).  Row i is
-    inside(N1(i)) | around2(i), without i.  Exact for any finite families.
+    Decided as: N1(a) = N2(a) = a for every soft element a.  The soft
+    elements inside N(a) are the product of its sections, so N(a) holds
+    some b != a iff it holds a cell outside a.
+
+    On failure the least pair (i, j) of the brute-force scan, i-major, is
+    read from the least opens.  Row i is nonempty iff N1(i) != i, or i
+    lies in N2(j) for some j != i.  For the second, take each distinct
+    u = N2(j) != j: the least soft element inside u qualifies unless u's
+    only owner j is that element, and then the second least does.  j is
+    the first index != i with j in N1(i) or i in N2(j).  Exact for any
+    finite families.
     """
     es = space.space
-    n1, h2 = space.tau1.least_opens, space.tau2.holders
-    for i, a in enumerate(es.flat_elements):
-        around = -1
-        for c in bits(a):
-            around &= h2[c]
-        row = (es.inside(n1[i]) | around) & ~(1 << i)
-        if row:
-            pair = i, (row & -row).bit_length() - 1
-            return _unseparated(space, pair, "least unseparated ordered pair")
-    return Verdict(True)
+    flat, n1, n2 = es.flat_elements, space.tau1.least_opens, space.tau2.least_opens
+    if n1 == flat and n2 == flat:
+        return Verdict(True)
+    owner: dict[int, int | None] = {}
+    for j, (u, a) in enumerate(zip(n2, flat)):
+        if u != a:
+            owner[u] = None if u in owner else j
+    firsts = [next((i for i, (u, a) in enumerate(zip(n1, flat)) if u != a), es.size)]
+    for u, j in owner.items():
+        least, second = es.least_two_inside(u)
+        firsts.append(second if j == least else least)
+    i = min(firsts)
+    a, u = flat[i], n1[i]
+    j = next(
+        j
+        for j, (b, v) in enumerate(zip(flat, n2))
+        if j != i and (b & ~u == 0 or a & ~v == 0)
+    )
+    return _unseparated(space, (i, j), "least unseparated ordered pair")
 
 
 def pairwise_soft_t2(space: SoftBitopSpace) -> Verdict:

@@ -17,7 +17,7 @@ from itertools import product
 from math import prod
 
 from .errors import CapacityError, InputError, NoSoftElementsError
-from .finsets import FinSet, Value
+from .finsets import FinSet, Value, bits
 
 # Guard on the soft-element count, checked when an ElementSpace is built.
 SE_MATERIALIZATION_LIMIT = 1 << 20
@@ -203,53 +203,40 @@ class ElementSpace:
         return tuple(map(sum, product(*cells)))
 
     @cached_property
-    def cell_elements(self) -> tuple[int, ...]:
-        """For each cell t * universe_size + x, the mask of the soft
-        elements whose t-th coordinate is x.
-
-        In the lexicographic order these elements come in runs of `run`
-        indices, the product of the later section sizes, one run in every
-        block of len(section t) * run indices.  Each mask is one run moved
-        into place in the first block and then copied to every block by
-        doubling, so no mask grows bit by bit.
-        """
-        n = self.soft_set.universe_size
-        cells = [0] * (len(self._factors) * n)
-        block = self.size
-        for t, ms in enumerate(self._factors):
-            run = block // len(ms)
-            for k, x in enumerate(ms):
-                mask, width = ((1 << run) - 1) << (k * run), block
-                while width < self.size:
-                    mask |= mask << width
-                    width *= 2
-                cells[t * n + x] = mask & self._all
-            block = run
-        return tuple(cells)
-
-    @cached_property
     def _all(self) -> int:
         return (1 << self.size) - 1
-
-    @cached_property
-    def _flat_ambient(self) -> int:
-        return flat_soft_set(self.soft_set)
 
     def inside(self, f: int) -> int:
         """The mask of the soft elements lying in the flat soft set f.
 
-        That is the AND over t of the OR of cell_elements over the points
-        of f's section t; equivalently, every element except those with a
-        coordinate in a cell of the ambient that f misses.
+        They are the product of f's sections, built from the last
+        parameter, whose coordinate varies fastest: the elements with
+        coordinate ms[k] at t take the k-th block of width `width`, the
+        number of selections from the later sections.
         """
-        cells = self.cell_elements
-        out = 0
-        miss = self._flat_ambient & ~f
-        while miss:
-            low = miss & -miss
-            out |= cells[low.bit_length() - 1]
-            miss ^= low
-        return self._all ^ out
+        n, out, width = self.soft_set.universe_size, 1, 1
+        for t in reversed(range(len(self._factors))):
+            ms, block = self._factors[t], 0
+            for k, x in enumerate(ms):
+                if f >> (t * n + x) & 1:
+                    block |= out << k * width
+            out, width = block, width * len(ms)
+        return out
+
+    def least_two_inside(self, f: int) -> tuple[int, int]:
+        """The indices of the least and the second least soft element lying
+        in the flat soft set f, which must hold two or more.  The least
+        takes the first point of every section of f; the second takes the
+        second point of the last section with two or more points."""
+        n, least, step, width = self.soft_set.universe_size, 0, 0, 1
+        for t in reversed(range(len(self._factors))):
+            ms = self._factors[t]
+            ks = [k for k, x in enumerate(ms) if f >> (t * n + x) & 1]
+            least += ks[0] * width
+            if not step and len(ks) > 1:
+                step = (ks[1] - ks[0]) * width
+            width *= len(ms)
+        return least, least + step
 
     @cached_property
     def flat_sections(self) -> tuple[int, ...]:
@@ -337,17 +324,19 @@ def se_of_softset(space: ElementSpace, h: SoftSet) -> SESubset:
 def is_se_representable(k: SESubset) -> tuple[bool, SoftElement | None]:
     """Is k the full soft-element set of some soft subset of the ambient?
 
-    The sectionwise hull H(t) := k(t) is the only candidate; k is
-    representable iff its hull adds no new selections.  On failure the
+    The sectionwise hull H(t) := k(t), flat the OR of the members' cells,
+    is the only candidate; k is representable iff its hull adds no new
+    selections.  On failure the
     lexicographically least extra selection is the witness.
     """
     if k.mask == 0:
         raise InputError(
             "the empty subset is not representable by nonempty sections"
         )
-    hull = k.sections()
-    blown_up = se_of_softset(k.space, hull)
-    extra = blown_up.mask & ~k.mask
+    space, hull = k.space, 0
+    for i in bits(k.mask):
+        hull |= space.flat_elements[i]
+    extra = space.inside(hull) & ~k.mask
     if extra == 0:
         return True, None
-    return False, k.space.element((extra & -extra).bit_length() - 1)
+    return False, space.element((extra & -extra).bit_length() - 1)

@@ -11,7 +11,7 @@ from math import prod
 from operator import lt
 
 from .errors import CapacityError, InputError
-from .finsets import ClassicalTopology, FinSet, Value, _least, bits
+from .finsets import ClassicalTopology, FinSet, Value, _least
 from .finsets import generate_topology, is_topology_masks
 from .softsets import (
     ElementSpace,
@@ -102,17 +102,6 @@ class SoftTopology(Value):
         for t, ms in enumerate(self.ambient.space._factors):
             column = [u[t * n + x] for x in ms]
             out = [o | c for o in out for c in column]
-        return tuple(out)
-
-    @cached_property
-    def holders(self) -> tuple[int, ...]:
-        """For each cell c, the mask of the soft elements j whose least
-        open N(j) holds c: the OR of `ElementSpace.cell_elements[d]` over
-        the cells d whose U(d) holds c."""
-        out = [0] * len(self.least_cells)
-        for u, elements in zip(self.least_cells, self.ambient.space.cell_elements):
-            for c in bits(u):
-                out[c] |= elements
         return tuple(out)
 
     @cached_property

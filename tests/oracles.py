@@ -19,7 +19,10 @@ The pairwise deciders are the original ones of `softbitop.finsets` and
 `softbitop.pairwise`, unchanged: each scans every pair of opens for every
 pair of points.  The library decides the same axioms from least open
 neighbourhoods; `test_oracle_equivalence.py` checks that both give the
-same verdict and the same least witness.
+same verdict and the same least witness.  `pairwise_soft_t1_rows` is the
+former soft T1 decider of `softbitop.pairwise`, which built one row mask
+per soft element from `least_opens`, `holders` and `ElementSpace.inside`;
+the library decides T1 from `least_opens` alone.
 
 The three minimum-subcover searches are likewise the original ones,
 unchanged: each tries every subfamily through `itertools.combinations`,
@@ -75,6 +78,7 @@ from softbitop.finsets import (
     FinSet,
     Witness,
     _collect_masks,
+    bits,
 )
 from softbitop import softtop
 from softbitop.pairwise import (
@@ -377,6 +381,24 @@ def pairwise_soft_t1(space: SoftBitopSpace) -> Verdict:
         for j, b in enumerate(elems):
             if i != j and not split(a, b):
                 return Verdict(False, (a, b), "least unseparated ordered pair")
+    return Verdict(True)
+
+
+def pairwise_soft_t1_rows(space: SoftBitopSpace) -> Verdict:
+    """Soft T1 by one row mask per soft element i, the j for which (i, j)
+    is not separated, in the order of the brute-force scan:
+    inside(N1(i)) | around2(i), without i, where around(i), the AND of
+    `holders` over the cells of i, is the set of j with i in N(j)."""
+    es = space.space
+    n1, h2 = space.tau1.least_opens, holders(space.tau2)
+    for i, a in enumerate(es.flat_elements):
+        around = -1
+        for c in bits(a):
+            around &= h2[c]
+        row = (es.inside(n1[i]) | around) & ~(1 << i)
+        if row:
+            pair = es.element(i), es.element((row & -row).bit_length() - 1)
+            return Verdict(False, pair, "least unseparated ordered pair")
     return Verdict(True)
 
 

@@ -18,7 +18,7 @@ replaced gives.  The closure check from least neighbourhoods, used by
 with the test of every pair of members: exhaustively on 3- and 4-point
 carriers and on a 3-cell soft carrier, and with hypothesis beyond.
 `generate_topology` must give what the fixed-point closure gives.  The
-least opens, the holders and `is_canonical`, all read from the least cell
+least opens and `is_canonical`, both read from the least cell
 neighbourhoods U(c), must give what the former readings of the full list
 of opens give, and `is_canonical` also what comparing with the built
 enlargement gives.  The flat canonical product must give
@@ -30,7 +30,10 @@ the shape too, must give the scan's verdict and witness: on the
 indiscrete pair of every shape up to 20 soft elements, on every pair of
 the 2x2 and 3x1 pools, on a seeded 3x2 sample and with hypothesis; and
 the 2x2 induced T2 on every choice of its four component topologies,
-against the closed form of README Claim A.  The family the library
+against the closed form of README Claim A.  Soft T1, read from the least
+opens, must give the verdict and witness of the row decider it replaced
+(`oracles.pairwise_soft_t1_rows`), and hold iff every soft element is
+open in both topologies.  The family the library
 induces from a topology must be the oracle's filtration of the
 topology's canonical enlargement.  The subcover, transport and
 reconstruction rows of `verify_theorems`, decided on flat opens and
@@ -858,6 +861,52 @@ def test_induced_verdicts_on_arbitrary_spaces(space):
     assert_induced_verdicts_agree(space)
 
 
+# ---------------------------------------------------------------- soft T1
+
+
+def assert_soft_t1_agrees(space) -> bool:
+    """Soft T1 gives the verdict and the least witness of the row decider
+    it replaced, and holds iff every soft element, as a flat soft set, is
+    open in both topologies.  Returns the verdict."""
+    verdict = pairwise_soft_t1(space)
+    assert verdict == oracles.pairwise_soft_t1_rows(space), space
+    flat = space.space.flat_elements
+    opens = space.tau1.flat_open_set & space.tau2.flat_open_set
+    assert verdict.holds == opens.issuperset(flat), space
+    return verdict.holds
+
+
+@pytest.mark.parametrize(
+    "n, p", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (2, 3)]
+)
+def test_soft_t1_against_rows_on_all_pool_pairs(n, p):
+    """On one point there is one soft element, and T1 always holds."""
+    pool = candidate_soft_topologies(n, p)
+    ambient = pool[0].ambient
+    tally = Counter(
+        assert_soft_t1_agrees(SoftBitopSpace(ambient, tau1, tau2))
+        for tau1 in pool
+        for tau2 in pool
+    )
+    assert tally[True] and (tally[False] or n == 1), tally
+
+
+def test_soft_t1_against_rows_on_sampled_3x2_pool_pairs():
+    pool = candidate_soft_topologies(3, 2)
+    ambient = pool[0].ambient
+    tally = Counter(
+        assert_soft_t1_agrees(SoftBitopSpace(ambient, pool[i], pool[j]))
+        for i, j in sampled_3x2_pool_pairs(pool)
+    )
+    assert tally[True] and tally[False], tally
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_up_to_16_soft_elements())
+def test_soft_t1_against_rows_on_arbitrary_spaces(space):
+    assert_soft_t1_agrees(space)
+
+
 # ---------------------------------------------------------------- closure
 
 
@@ -1017,14 +1066,13 @@ def test_is_canonical_on_pools():
 
 def assert_least_tables_agree(tau):
     assert tau.least_opens == oracles.least_opens(tau), tau.opens
-    assert tau.holders == oracles.holders(tau), tau.opens
     assert is_canonical(tau) == oracles.is_canonical_by_count(tau), tau.opens
 
 
 def test_least_tables_on_pools():
     """Every entry of the 2x2, 3x1 and 2x3 pools, diagonal lifts included,
     and the seeded sample of 200 entries of the 3x2 pool of the test
-    above: the least opens, the holders and canonicity read from U(c)
+    above: the least opens and canonicity read from U(c)
     agree with the readings of the full list of opens."""
     rng = rng_for("oracle-equivalence-canonical")
     shapes = ((2, 2), (3, 1), (2, 3))

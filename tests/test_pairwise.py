@@ -186,16 +186,35 @@ def test_soft_t0_witness_is_the_least_pair_of_the_scan():
     assert (verdict.holds, verdict.witness) == (False, ((0,), (3,)))
 
 
-def test_soft_t0_reads_no_holders(monkeypatch):
-    """Soft T0 is decided on the least opens alone, in the decider and in
-    the search."""
+@pytest.mark.parametrize(
+    "tau2_opens, witness",
+    [([[], [1], [0, 1]], ((1,), (0,))), ([[], [0], [0, 1]], ((0,), (1,)))],
+)
+def test_soft_t1_witness_is_the_least_pair_of_the_scan(tau2_opens, witness):
+    """2 points x 1 parameter, the first topology discrete and the second
+    {{}, {x}, {0, 1}}: every open of the second around the other point y
+    holds x, so (x, y) is the only unseparated ordered pair, whichever of
+    the two points x is."""
+    ambient = SoftSet.of([range(2)], 2)
+    tau1 = soft_discrete(ambient)
+    tau2 = SoftTopology.build([SoftSet.of([ms], 2) for ms in tau2_opens], ambient)
+    space = SoftBitopSpace(ambient, tau1, tau2)
+    verdict = pairwise_soft_t1(space)
+    assert verdict == oracles.pairwise_soft_t1(space)
+    assert (verdict.holds, verdict.witness) == (False, witness)
 
-    def refuse(tau):
-        raise AssertionError("holders read")
 
-    monkeypatch.setattr(SoftTopology, "holders", property(refuse))
-    assert not pairwise_soft_t0(indiscrete_space()).holds
-    assert pairwise_soft_t0(discrete_space()).holds
+def test_soft_t0_and_t1_read_no_inside(monkeypatch):
+    """Soft T0 and T1 are decided on the least opens alone, in the
+    deciders and in the search."""
+
+    def refuse(space, f):
+        raise AssertionError("inside read")
+
+    monkeypatch.setattr(ElementSpace, "inside", refuse)
+    for decide in (pairwise_soft_t0, pairwise_soft_t1):
+        assert not decide(indiscrete_space()).holds
+        assert decide(discrete_space()).holds
     assert len(search_counterexamples(2, 2).not_t0_but_induced_t2) == 11
 
 

@@ -149,7 +149,7 @@ def test_flat_sections_agree_with_section_walk():
 
 
 def test_cell_tables_agree_with_element_walk():
-    """flat_elements, cell_elements and inside (which se_of_softset reads)
+    """flat_elements and inside (which se_of_softset reads)
     against a walk over the soft elements, on every small carrier; inside
     on 16 seeded soft subsets of each, the null and the full one among
     them."""
@@ -159,11 +159,6 @@ def test_cell_tables_agree_with_element_walk():
         n, p = carrier.universe_size, carrier.param_count
         assert space.flat_elements == tuple(
             sum(1 << (t * n + x) for t, x in enumerate(e)) for e in space.elements
-        )
-        assert space.cell_elements == tuple(
-            sum(1 << i for i, e in enumerate(space.elements) if e[t] == x)
-            for t in range(p)
-            for x in range(n)
         )
         subsets = [SoftSet.null(p, n), carrier]
         subsets += (random_soft_set(rng, carrier) for _ in range(14))
@@ -332,3 +327,23 @@ def test_representable_iff_equals_se_of_hull(mask):
     assert ok == (hull == k)
     if not ok:
         assert witness in hull and witness not in k
+
+
+def test_representability_against_element_walk():
+    """Every nonempty mask of every carrier with up to 10 soft elements:
+    the hull read from flat_elements gives what the hull of the walked
+    sections (`SESubset.sections`) gives."""
+    for carrier in small_carriers(10):
+        space = ElementSpace(carrier)
+        for m in range(1, 1 << space.size):
+            k = SESubset(space, m)
+            extra = se_of_softset(space, k.sections()).mask & ~m
+            least = (extra & -extra).bit_length() - 1
+            expected = (False, space.elements[least]) if extra else (True, None)
+            assert is_se_representable(k) == expected, (carrier.key, m)
+
+
+def test_representability_builds_no_element_list():
+    space = ElementSpace(SoftSet.of([range(3)] * 2, 3))
+    assert is_se_representable(SESubset(space, 0b100000001)) == (False, (0, 2))
+    assert "elements" not in vars(space)

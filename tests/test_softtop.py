@@ -159,7 +159,7 @@ def test_canonical_topology_builds_no_soft_set_until_opens_are_read():
     assert len(tau) == 1 << 16
     assert tau.contains(ambient)
     assert tau.components == (discrete(8), discrete(8))
-    assert len(tau.least_opens) == 64 and len(tau.holders) == 16
+    assert len(tau.least_opens) == 64
     assert "opens" not in tau.__dict__
 
 
@@ -286,18 +286,6 @@ def test_least_opens_are_least():
             ]
             assert least in around
             assert all(least & ~h == 0 for h in around)
-
-
-def test_holders_hold_the_elements_whose_least_open_holds_the_cell():
-    rng = rng_for("holders")
-    for _ in range(100):
-        ambient = random_carrier(rng)
-        tau = random_soft_topology(rng, ambient)
-        cells = ambient.param_count * ambient.universe_size
-        assert tau.holders == tuple(
-            sum(1 << j for j, least in enumerate(tau.least_opens) if least >> c & 1)
-            for c in range(cells)
-        )
 
 
 def test_induced_union_closed_randomized():
