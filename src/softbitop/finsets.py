@@ -294,16 +294,21 @@ def generate_topology(
     The least open U(x) around a point x is the carrier ANDed with the
     subbase members that hold x (the empty intersection is the carrier),
     and the opens are all unions of the U(x), grown one point at a time.
+    The U(x) are kept as the topology's `minimal_members`.
     """
     if carrier is None:
         carrier = FinSet.full(n)
     masks = _collect_masks(subbase, n)
-    if any(m & ~carrier.mask for m in masks):
+    c = carrier.mask
+    if any(m & ~c for m in masks):
         raise InputError("subbase member not contained in the carrier")
+    least = tuple((_least(masks, c, x),) if c >> x & 1 else () for x in range(n))
     opens = {0}
-    for u in {_least(masks, carrier.mask, x) for x in bits(carrier.mask)}:
+    for u in {u for at_x in least for u in at_x}:
         opens |= {o | u for o in opens}
-    return ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(opens)))
+    topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(opens)))
+    topo.__dict__["minimal_members"] = least
+    return topo
 
 
 def enumerate_topologies(

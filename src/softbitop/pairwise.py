@@ -420,14 +420,21 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
 
     # The enlargement row: the enlargement contains the original, has the
     # same component topologies and so induces the same family, since the
-    # induced family reads only the component topologies.
+    # induced family reads only the component topologies.  The enlargement
+    # keeps tau's components, so its sections are read from its opens; and
+    # it must be their whole product, as many opens as choices of sections.
+    n = space.soft_set.universe_size
+    block = (1 << n) - 1
     enlargement_ok = True
     for tau in (space.tau1, space.tau2):
         can = canonical_enlargement(tau)
         if not can.flat_open_set.issuperset(tau.flat_opens):
             enlargement_ok = False
-        if can.components != tau.components:
+        if len(can) != prod(len(sigma.opens) for sigma in tau.components):
             enlargement_ok = False
+        for t, sigma in enumerate(tau.components):
+            if {f >> t * n & block for f in can.flat_opens} != set(sigma.open_masks):
+                enlargement_ok = False
     checks.append(
         TheoremCheck(
             "canonical-enlargement-contains-and-preserves",
@@ -465,8 +472,6 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     # them covers the ambient, so its sections cover the component.
     transport_ok = True
     if canonical:
-        n = space.soft_set.universe_size
-        block = (1 << n) - 1
         for t in range(p):
             rest = whole & ~(block << t * n)
             for tau in (space.tau1, space.tau2):

@@ -171,10 +171,6 @@ class ElementSpace:
     def elements(self) -> tuple[SoftElement, ...]:
         return tuple(product(*self._factors))
 
-    @cached_property
-    def _index(self) -> dict[SoftElement, int]:
-        return {e: i for i, e in enumerate(self.elements)}
-
     def element(self, i: int) -> SoftElement:
         """elements[i], decoded by mixed radix without the element list."""
         out = []
@@ -184,10 +180,17 @@ class ElementSpace:
         return tuple(reversed(out))
 
     def index_of(self, elem: SoftElement) -> int:
+        """The index of elem, the inverse of `element`: its coordinates
+        read as mixed-radix digits, one lookup per section."""
+        elem, i = tuple(elem), 0
         try:
-            return self._index[tuple(elem)]
-        except KeyError:
+            if len(elem) != len(self._factors):
+                raise ValueError
+            for x, ms in zip(elem, self._factors):
+                i = i * len(ms) + ms.index(x)
+        except ValueError:
             raise InputError(f"{elem!r} is not a soft element of this space") from None
+        return i
 
     def subset_of(self, elems: Iterable[SoftElement]) -> "SESubset":
         mask = 0

@@ -45,6 +45,7 @@ class SoftTopology(Value):
     """A validated soft topology, its opens held flat (`flat_soft_set`),
     deduplicated and in key order: by section masks, section 0 first."""
 
+    __slots__ = ("__dict__", "_components")
     ambient: SoftSet
     flat_opens: tuple[int, ...]
 
@@ -59,13 +60,13 @@ class SoftTopology(Value):
     @cached_property
     def opens(self) -> tuple[SoftSet, ...]:
         """The opens as soft sets, in the order of `flat_opens`, built on
-        first use.  Opens with equal t-sections share one FinSet."""
+        first use.  Their t-sections are the opens of the component at t,
+        shared by every open and with the component."""
         n = self.ambient.universe_size
         full, columns = (1 << n) - 1, []
-        for t in range(self.ambient.param_count):
-            masks = [f >> t * n & full for f in self.flat_opens]
-            sections = {m: FinSet(n, m) for m in set(masks)}
-            columns.append(map(sections.__getitem__, masks))
+        for t, sigma in enumerate(self.components):
+            sections = {o.mask: o for o in sigma.opens}
+            columns.append([sections[f >> t * n & full] for f in self.flat_opens])
         return tuple(map(SoftSet, zip(*columns)))
 
     @cached_property
@@ -84,12 +85,24 @@ class SoftTopology(Value):
         """For each cell c, U(c), the least open around c, as a flat soft
         set; 0 for a cell outside the ambient.  A soft topology is a finite
         topology on the cells, so these fix it: each open is the union of
-        the U(c) over its cells."""
+        the U(c) over its cells.
+
+        The topology lies inside its enlargement, which has one open per
+        choice of component opens, so it is canonical iff it has that many
+        opens.  Then U(t, x) is U_t(x), the least open around x in the
+        component at t, shifted to parameter t; otherwise U(c) is the AND
+        of the opens around c."""
+        n, sigmas = self.ambient.universe_size, self.components
+        if len(self.flat_opens) == prod(len(s.opens) for s in sigmas):
+            return tuple(
+                at_x[0] << t * n if at_x else 0
+                for t, sigma in enumerate(sigmas)
+                for at_x in sigma.minimal_members
+            )
         whole = flat_soft_set(self.ambient)
-        cells = self.ambient.param_count * self.ambient.universe_size
         return tuple(
             _least(self.flat_opens, whole, c) if whole >> c & 1 else 0
-            for c in range(cells)
+            for c in range(len(sigmas) * n)
         )
 
     @cached_property
@@ -104,10 +117,19 @@ class SoftTopology(Value):
             out = [o | c for o in out for c in column]
         return tuple(out)
 
-    @cached_property
+    @property
     def components(self) -> tuple[ClassicalTopology, ...]:
-        """The component topologies, each built and validated once."""
-        return tuple(_build_component(self, t) for t in range(self.ambient.param_count))
+        """The component topologies: kept by `canonical_topology`, else
+        built from the opens on first read, each validated once.  They
+        are kept in a slot that is no field, so copies and pickles start
+        without them, and an instance's dict does not grow for them."""
+        try:
+            return self._components
+        except AttributeError:
+            p = self.ambient.param_count
+            built = tuple(_build_component(self, t) for t in range(p))
+            object.__setattr__(self, "_components", built)
+            return built
 
     @cached_property
     def enlargement(self) -> "SoftTopology":
@@ -141,6 +163,16 @@ def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
     return tau.components[t]
 
 
+def _ascending(sigma: ClassicalTopology) -> ClassicalTopology:
+    """sigma, or, if its opens do not strictly ascend, sigma in the form a
+    component built from the opens takes: distinct opens, ascending."""
+    m = sigma.open_masks
+    if all(map(lt, m, islice(m, 1, None))):
+        return sigma
+    n = sigma.universe_size
+    return ClassicalTopology(n, sigma.carrier, tuple(FinSet(n, x) for x in sorted(set(m))))
+
+
 def canonical_topology(
     ambient: SoftSet, sigmas: Sequence[ClassicalTopology]
 ) -> SoftTopology:
@@ -153,19 +185,24 @@ def canonical_topology(
             raise InputError("component topology universe mismatch")
         if sigma.carrier != ambient.section(t):
             raise InputError(f"component topology at {t} must live on the section")
+    sigmas = tuple(map(_ascending, sigmas))
     count = prod(len(s.opens) for s in sigmas)
     if count > CANONICAL_PRODUCT_LIMIT:
         raise CapacityError(
             f"canonical topology would have {count} opens; guard is "
             f"{CANONICAL_PRODUCT_LIMIT}"
         )
-    # The product of sorted, distinct component masks, section 0
-    # outermost, comes out distinct and in key order.
+    # The product of ascending component masks, section 0 outermost,
+    # comes out distinct and in key order.
     flat = [0]
     for t, sigma in enumerate(sigmas):
-        shifted = [m << t * n for m in sorted(set(sigma.open_masks))]
+        shifted = [m << t * n for m in sigma.open_masks]
         flat = [f | m for f in flat for m in shifted]
-    return SoftTopology(ambient, tuple(flat))
+    tau = SoftTopology(ambient, tuple(flat))
+    # The t-sections of the product are the opens of sigmas[t]: kept, they
+    # spare a rebuild from every open.
+    object.__setattr__(tau, "_components", sigmas)
+    return tau
 
 
 def canonical_enlargement(tau: SoftTopology) -> SoftTopology:
@@ -301,7 +338,7 @@ class SEFamily(Value):
     def sections(self) -> tuple[frozenset[int], ...]:
         """For each parameter t, the masks of the members' t-sections,
         read once from `ElementSpace.flat_sections` (under its filtration
-        guard)."""
+        guard).  An induced family is born with them (`induced_topology`)."""
         n = self.space.soft_set.universe_size
         full = (1 << n) - 1
         flat = set(map(self.space.flat_sections.__getitem__, self.masks))
@@ -335,18 +372,32 @@ def induced_topology(tau: SoftTopology) -> SEFamily:
     closed under unions, but it is NOT closed under intersections in
     general: sections of an intersection can be strictly smaller than the
     intersections of sections.  The sections of every subset are read
-    from `ElementSpace.flat_sections`, which enforces the filtration guard,
-    and each distinct entry is tested once against the component opens.
-    Each call builds a new family; `SoftTopology.induced` keeps one.
+    from `ElementSpace.flat_sections`, which enforces the filtration guard.
+
+    The entries that pass need no test.  A nonempty subset of the soft
+    elements has all its sections nonempty, and each choice of nonempty
+    A_t inside F(t), one per parameter, is the sections of the product of
+    the A_t.  So the entries that occur are 0 and every such choice, and
+    those that pass are 0 and every choice of nonempty component opens:
+    the product of the component opens, with 0 left out of each factor.
+    The family's `sections` are read from those entries.  Each call
+    builds a new family; `SoftTopology.induced` keeps one.
     """
     space = tau.ambient.space
     flat = space.flat_sections
-    n = tau.ambient.universe_size
-    full = (1 << n) - 1
-    opens = [(t, set(c.open_masks)) for t, c in enumerate(tau.components)]
-    passed = {f for f in set(flat) if all(f >> t * n & full in o for t, o in opens)}
+    n, p = tau.ambient.universe_size, tau.ambient.param_count
+    entries = [0]
+    for t, sigma in enumerate(tau.components):
+        shifted = [m << t * n for m in sigma.open_masks if m]
+        entries = [e | m for e in entries for m in shifted]
+    passed = {0, *entries}
     keep = compress(range(len(flat)), map(passed.__contains__, flat))
-    return SEFamily(space, tuple(keep))
+    family = SEFamily(space, tuple(keep))
+    full = (1 << n) - 1
+    family.__dict__["sections"] = tuple(
+        frozenset({e >> t * n & full for e in passed}) for t in range(p)
+    )
+    return family
 
 
 def _sections_open(family: SEFamily, sigmas: Sequence[ClassicalTopology]) -> bool:

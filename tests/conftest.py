@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import pathlib
 import random
+from itertools import product
+from math import prod
 
 from softbitop import (
     ClassicalTopology,
@@ -20,6 +22,16 @@ from softbitop import (
 
 DEFAULT_SEED = 20240817
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def small_carriers(max_elements: int):
+    """Every carrier on up to 3 points and up to 4 parameters with at most
+    max_elements soft elements."""
+    for n in range(1, 4):
+        for p in range(1, 5):
+            for masks in product(range(1, 1 << n), repeat=p):
+                if prod(m.bit_count() for m in masks) <= max_elements:
+                    yield SoftSet(tuple(FinSet(n, m) for m in masks))
 
 
 def rng_for(name: str, seed: int = DEFAULT_SEED) -> random.Random:

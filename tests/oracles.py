@@ -8,12 +8,15 @@ a fixed point, and `is_canonical` compares a soft topology with its built
 enlargement.  The library decides closure from the least neighbourhoods
 U(x) (`finsets.is_topology_masks`) and generates as unions of the U(x).
 
-`least_opens`, `holders` and `is_canonical_by_count` are the former
-readings of a soft topology from its full list of opens: N(a) as the AND
-of the opens around a, holders[c] as the complement of the soft elements
-inside the largest open missing c, and canonicity as |tau| equal to the
-product of the component sizes.  The library reads all three from one
-table of least cell neighbourhoods, `SoftTopology.least_cells`.
+`least_opens`, `holders`, `least_cells` and `is_canonical_by_count`
+are the former readings of a soft topology from its full list of opens:
+N(a) as the AND of the opens around a, holders[c] as the complement of
+the soft elements inside the largest open missing c, U(c) as the AND of
+the opens around c, and canonicity as |tau| equal to the product of the
+component sizes.  The library reads the first two and canonicity from
+one table of least cell neighbourhoods, `SoftTopology.least_cells`, and
+a canonical topology builds that table from the least opens of the
+components it keeps.
 
 The pairwise deciders are the original ones of `softbitop.finsets` and
 `softbitop.pairwise`, unchanged: each scans every pair of opens for every
@@ -49,7 +52,9 @@ every call, the filtration that collects the sections of each subset bit
 by bit, and the projection check and reconstruction that walk every soft
 element of every member (`SESubset.section`).  The library reads the
 sections from one table per element space (`ElementSpace.flat_sections`)
-and the components from a cache per soft topology.
+and lists the entries that pass as the product of the component opens;
+a canonical topology keeps the components it was built from, and any
+other builds them once.
 
 `cover_rows` is the former computation of three `verify_theorems` rows:
 the subcover row cuts a `SoftCover` of every open, held as a `SoftSet`;
@@ -177,6 +182,18 @@ def generate_topology(
     return ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(masks)))
 
 
+def minimal_members(sigma: ClassicalTopology) -> tuple[tuple[int, ...], ...]:
+    """For each point x, (U(x),) with U(x) the AND of the opens that hold
+    x, for a point of the carrier; () for any other point."""
+    carrier = sigma.carrier.mask
+    return tuple(
+        (reduce(and_, [m for m in sigma.open_masks if m >> x & 1], carrier),)
+        if carrier >> x & 1
+        else ()
+        for x in range(sigma.universe_size)
+    )
+
+
 def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
     """Null and ambient present, closed under binary soft union and
     intersection (exact for finite families)."""
@@ -218,6 +235,19 @@ def holders(tau: SoftTopology) -> tuple[int, ...]:
     cells = tau.ambient.param_count * tau.ambient.universe_size
     return tuple(
         every ^ space.inside(reduce(or_, [h for h in opens if not h >> c & 1]))
+        for c in range(cells)
+    )
+
+
+def least_cells(tau: SoftTopology) -> tuple[int, ...]:
+    """For each cell c, the AND of the flat opens that hold c, scanned
+    over every open; 0 for a cell outside the ambient."""
+    whole = flat_soft_set(tau.ambient)
+    cells = tau.ambient.param_count * tau.ambient.universe_size
+    return tuple(
+        reduce(and_, [h for h in tau.flat_opens if h >> c & 1], whole)
+        if whole >> c & 1
+        else 0
         for c in range(cells)
     )
 

@@ -13,15 +13,20 @@ subcover searches must give the same subcover, or raise the same error,
 as the search over `combinations` it replaced.  The induced family, the
 projection check and the reconstruction read sections from one table per
 element space; each must give what the walk over soft elements it
-replaced gives.  The closure check from least neighbourhoods, used by
+replaced gives.  The section entries the subsets realize must be 0 and
+every choice of nonempty sections, the lemma by which the induced
+family lists its passed entries without testing one.  The closure check from least neighbourhoods, used by
 `is_topology`, `enumerate_topologies` and `is_soft_topology`, must agree
 with the test of every pair of members: exhaustively on 3- and 4-point
 carriers and on a 3-cell soft carrier, and with hypothesis beyond.
-`generate_topology` must give what the fixed-point closure gives.  The
+`generate_topology` must give what the fixed-point closure gives, and
+keep as its minimal members the AND of the opens around each point.  The
 least opens and `is_canonical`, both read from the least cell
 neighbourhoods U(c), must give what the former readings of the full list
 of opens give, and `is_canonical` also what comparing with the built
-enlargement gives.  The flat canonical product must give
+enlargement gives; the components a canonical topology keeps, and the
+least cells it reads from them, must equal those read from the opens,
+on the topology and on a pickled copy.  The flat canonical product must give
 the opens of the product of `SoftSet` objects sorted by key, and
 `SoftTopology.build` the family sorted by key.  The induced verdicts that
 `SoftBitopSpace.separation` reads from the carrier's shape must equal
@@ -45,6 +50,7 @@ the 2x2 and 3x1 pools, on the 20-SE fixtures and on seeded carriers.
 from __future__ import annotations
 
 import json
+import pickle
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
 from math import prod
@@ -63,6 +69,7 @@ from conftest import (
     random_soft_set,
     random_soft_topology,
     rng_for,
+    small_carriers,
 )
 from softbitop import (
     BitopPair,
@@ -614,8 +621,41 @@ def assert_sections_agree(family):
 
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
 def test_family_sections_on_induced_families_of_pool(n, p):
+    """An induced family is born with its sections, read from the entries
+    that pass; they equal those read from its masks."""
     for tau in candidate_soft_topologies(n, p):
-        assert_sections_agree(induced_topology(tau))
+        family = induced_topology(tau)
+        assert "sections" in vars(family)
+        assert family.sections == SEFamily.sections.func(family), family.masks
+        assert_sections_agree(family)
+
+
+def carriers_up_to_9_soft_elements():
+    """Every carrier on up to 3 points and 4 parameters with at most 9 soft
+    elements, and wider sections: one of 4 to 9 points, 4 x 2 and 2 x 4."""
+    yield from small_carriers(9)
+    for k in range(4, 10):
+        yield SoftSet.of([range(k)], k)
+    yield SoftSet.of([range(4), range(2)], 4)
+    yield SoftSet.of([range(2), range(4)], 4)
+
+
+def nonempty_submasks(mask: int) -> list[int]:
+    return [m for m in range(1, mask + 1) if not m & ~mask]
+
+
+def test_realized_entries_are_the_products_of_nonempty_sections():
+    """The lemma behind `induced_topology`, exhaustively up to 9 soft
+    elements: the distinct section entries of the subsets of SE(F) are 0
+    and every choice of nonempty A_t inside F(t), one per parameter."""
+    carriers = 0
+    for carrier in carriers_up_to_9_soft_elements():
+        n = carrier.universe_size
+        choices = product(*(nonempty_submasks(s.mask) for s in carrier.sections))
+        expected = {0} | {sum(a << t * n for t, a in enumerate(c)) for c in choices}
+        assert set(ElementSpace(carrier).flat_sections) == expected, carrier.key
+        carriers += 1
+    assert carriers == 2_194
 
 
 def test_family_sections_on_random_carriers():
@@ -1036,9 +1076,11 @@ def subbases(draw):
 def test_generate_topology_against_fixed_point(instance):
     n, carrier, masks = instance
     subbase, on = [FinSet(n, m) for m in masks], FinSet(n, carrier)
-    assert generate_topology(subbase, n, on) == oracles.generate_topology(
-        subbase, n, on
-    ), instance
+    topo = generate_topology(subbase, n, on)
+    assert topo == oracles.generate_topology(subbase, n, on), instance
+    # The least opens the generator computed, kept on the topology.
+    assert "minimal_members" in vars(topo)
+    assert topo.minimal_members == oracles.minimal_members(topo), instance
 
 
 def test_generate_topology_refuses_a_member_outside_the_carrier():
@@ -1065,19 +1107,33 @@ def test_is_canonical_on_pools():
 
 
 def assert_least_tables_agree(tau):
+    """The least opens, canonicity, the components (kept or built) and the
+    least cells against the readings of the full list of opens; the last
+    two also on a pickled copy, which keeps no components."""
     assert tau.least_opens == oracles.least_opens(tau), tau.opens
     assert is_canonical(tau) == oracles.is_canonical_by_count(tau), tau.opens
+    p = tau.ambient.param_count
+    components = tuple(oracles.component_topology(tau, t) for t in range(p))
+    cells = oracles.least_cells(tau)
+    copy = pickle.loads(pickle.dumps(tau))
+    assert not hasattr(copy, "_components")
+    for each in (tau, copy):
+        assert each.components == components, tau.opens
+        assert each.least_cells == cells, tau.opens
 
 
 def test_least_tables_on_pools():
     """Every entry of the 2x2, 3x1 and 2x3 pools, diagonal lifts included,
     and the seeded sample of 200 entries of the 3x2 pool of the test
-    above: the least opens and canonicity read from U(c)
-    agree with the readings of the full list of opens."""
+    above: the least opens and canonicity read from U(c), and the
+    components the canonical products keep, agree with the readings of
+    the full list of opens."""
     rng = rng_for("oracle-equivalence-canonical")
     shapes = ((2, 2), (3, 1), (2, 3))
     taus = [tau for shape in shapes for tau in candidate_soft_topologies(*shape)]
     taus += rng.sample(candidate_soft_topologies(3, 2), 200)
+    kept = Counter(hasattr(tau, "_components") for tau in taus)
+    assert kept[True] and kept[False], kept
     for tau in taus:
         assert_least_tables_agree(tau)
 
@@ -1125,8 +1181,10 @@ def test_canonical_topology_against_softset_product():
         for pair in product(topos + [_raw_shuffled(s) for s in topos], repeat=2):
             expected = oracles.canonical_opens(pair)
             tau = canonical_topology(ambient, pair)
+            assert "least_cells" not in vars(tau)
             assert tau.flat_opens == tuple(map(flat_soft_set, expected)), pair
             assert tau.opens == expected, pair
+            assert_least_tables_agree(tau)
 
 
 @st.composite

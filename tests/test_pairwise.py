@@ -133,9 +133,10 @@ def test_soft_deciders_on_2048_soft_elements(monkeypatch):
     """tau1 with {u0} at every parameter and tau2 with {u1}: the pair is
     soft T0 but neither soft T1 nor soft T2.  Soft T2 is read from the
     carrier's shape and reads no least open.  The tables of T0 and T1 are
-    read from the least cell neighbourhoods, so each topology scans its
-    opens once per ambient cell (22 cells), never once per soft element
-    (2,048)."""
+    read from the least cell neighbourhoods, which a canonical topology
+    reads from the least opens of the components it keeps: neither
+    topology scans its opens, where a scan would take one pass per
+    ambient cell (22 cells)."""
     calls, reads = Counter(), Counter()
     least, least_opens = softtop._least, SoftTopology.least_opens
 
@@ -158,7 +159,7 @@ def test_soft_deciders_on_2048_soft_elements(monkeypatch):
     t1 = pairwise_soft_t1(space)
     assert (t1.holds, t1.witness) == (False, (last, zero))
     assert (t2.holds, t2.witness) == (False, (zero, last))
-    assert sorted(calls.values()) == [22, 22]
+    assert not calls
 
 
 def test_soft_t2_on_a_million_soft_elements():
@@ -422,9 +423,10 @@ def test_verify_theorems_exhaustive_small():
 
 
 def test_verify_theorems_builds_each_component_once(monkeypatch):
-    """One component build per soft topology object and parameter: the
-    two topologies and their enlargements.  The reconstructions read the
-    topologies they generate and build no components."""
+    """Components are built from the opens only for tau2, which
+    `soft_discrete` builds from listed opens, once per parameter.  The
+    canonical tau1, both enlargements and the reconstructions keep the
+    components they were built from."""
     builds = Counter()
     alive = []
     build = softtop._build_component
@@ -440,8 +442,7 @@ def test_verify_theorems_builds_each_component_once(monkeypatch):
     tau2 = soft_discrete(SQUARE)
     report = verify_theorems(SoftBitopSpace(SQUARE, tau1, tau2))
     assert all(c.applicable for c in report.checks)
-    assert set(builds.values()) == {1}
-    assert len(builds) == 4 * 2, builds
+    assert builds == {(id(tau2), 0): 1, (id(tau2), 1): 1}, builds
 
 
 def test_verify_theorems_filters_once_per_family(monkeypatch):
@@ -497,6 +498,40 @@ def test_verify_theorems_fails_transport_on_a_non_open_cylinder(monkeypatch):
     report = verify_theorems(SoftBitopSpace(SQUARE, tau, tau))
     failed = [c.name for c in report.checks if c.applicable and not c.passed]
     assert failed == ["cylinder-cover-transport"]
+
+
+@pytest.mark.parametrize("ambient", [LINE, SQUARE], ids=["1x2", "2x2"])
+def test_verify_theorems_fails_the_enlargement_row_on_a_dropped_open(
+    monkeypatch, ambient
+):
+    """The enlargement row reads the enlargement from its opens, not from
+    the components it keeps.  With canonical_topology dropping its next
+    to last open, the discrete topology and its enlargement lose it
+    alike, so the enlargement still contains the topology.  On one
+    parameter the lost open is a lost section; on two, every section is
+    still there, but the enlargement is short of the whole product.
+    Either way the row fails."""
+    row = "canonical-enlargement-contains-and-preserves"
+    discrete = ClassicalTopology.build([FinSet(2, m) for m in range(4)], 2)
+    sigmas = [discrete] * ambient.param_count
+
+    def failed(tau):
+        report = verify_theorems(SoftBitopSpace(ambient, tau, tau))
+        return [c.name for c in report.checks if c.applicable and not c.passed]
+
+    assert row not in failed(canonical_topology(ambient, sigmas))
+    build = softtop.canonical_topology
+
+    def dropping(ambient, sigmas):
+        tau = build(ambient, sigmas)
+        cut = SoftTopology(ambient, tau.flat_opens[:-2] + tau.flat_opens[-1:])
+        object.__setattr__(cut, "_components", tau.components)
+        return cut
+
+    monkeypatch.setattr(softtop, "canonical_topology", dropping)
+    tau = softtop.canonical_topology(ambient, sigmas)
+    assert len(tau) == 4**ambient.param_count - 1
+    assert row in failed(tau)
 
 
 # ---------------------------------------------------------------- search

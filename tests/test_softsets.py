@@ -1,6 +1,4 @@
 import tracemalloc
-from itertools import product
-from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +21,7 @@ from softbitop import (
     soft_union,
 )
 from softbitop.softsets import SE_FILTRATION_LIMIT, flat_soft_set
-from conftest import random_soft_set, rng_for
+from conftest import random_soft_set, rng_for, small_carriers
 
 # Running example: carrier with sections {x1,x2} and {x3,x4} over a
 # four-point universe x1..x4 encoded as 0..3.
@@ -124,16 +122,6 @@ def test_soft_element_count_is_section_product(h):
 # ---------------------------------------------------------------- section table
 
 
-def small_carriers(max_elements):
-    """Every carrier on up to 3 points and up to 4 parameters with at most
-    max_elements soft elements."""
-    for n in range(1, 4):
-        for p in range(1, 5):
-            for masks in product(range(1, 1 << n), repeat=p):
-                if prod(m.bit_count() for m in masks) <= max_elements:
-                    yield SoftSet(tuple(FinSet(n, m) for m in masks))
-
-
 def test_flat_sections_agree_with_section_walk():
     for carrier in small_carriers(8):
         space = ElementSpace(carrier)
@@ -179,6 +167,33 @@ def test_element_decodes_its_index():
         decoded = [space.element(i) for i in range(space.size)]
         assert "elements" not in vars(space)
         assert decoded == list(space.elements), carrier.key
+
+
+def test_index_of_inverts_the_enumeration():
+    """index_of(elements[i]) is i on every carrier on up to 3 points and 4
+    parameters with at most 10 soft elements, read without building the
+    list; a tuple of the wrong length or with a coordinate outside its
+    section is refused."""
+    for carrier in small_carriers(10):
+        space = ElementSpace(carrier)
+        n, p = carrier.universe_size, carrier.param_count
+        indices = [space.index_of(space.element(i)) for i in range(space.size)]
+        assert "elements" not in vars(space)
+        assert indices == list(range(space.size)), carrier.key
+        assert [space.index_of(e) for e in space.elements] == indices
+        outside = [(x,) * p for x in range(n + 1) if (x,) * p not in space.elements]
+        for elem in [space.element(0) * 2, space.element(0)[1:], *outside]:
+            with pytest.raises(InputError, match="is not a soft element of this space$"):
+                space.index_of(elem)
+
+
+def test_subset_of_builds_no_element_list():
+    """2 points x 16 parameters, 65,536 soft elements: subset_of indexes
+    its elements by mixed radix, without the element list."""
+    space = ElementSpace(SoftSet.of([range(2)] * 16, 2))
+    k = space.subset_of([(0,) * 16, (0,) * 15 + (1,), (1,) * 16])
+    assert k.mask == 0b11 | 1 << space.size - 1
+    assert "elements" not in vars(space)
 
 
 def test_flat_sections_guard_refuses_before_allocating():

@@ -163,6 +163,18 @@ def test_canonical_topology_builds_no_soft_set_until_opens_are_read():
     assert "opens" not in tau.__dict__
 
 
+def test_opens_share_the_component_opens_as_sections():
+    """The t-sections of the opens are the FinSet objects of the component
+    at t, for a canonical topology, which keeps its components, and for
+    one given by its opens, which builds them."""
+    canonical = canonical_topology(SQUARE, [discrete(2), indiscrete(2)])
+    listed = SoftTopology.build(canonical.opens, SQUARE)
+    for tau in (canonical, listed):
+        for t, sigma in enumerate(tau.components):
+            ids = {id(o) for o in sigma.opens}
+            assert {id(h.sections[t]) for h in tau.opens} == ids
+
+
 def test_contains_refuses_a_soft_set_of_another_shape():
     tau = canonical_topology(SQUARE, [discrete(2), discrete(2)])
     # Each flat form equals that of an open: ({0,1},{0,1}), ({0,1},{1}).
