@@ -19,7 +19,7 @@ from math import prod
 from types import SimpleNamespace
 
 from .errors import CapacityError, InputError, NoSoftElementsError, SoftBitopError
-from .finsets import ClassicalTopology, FinSet, Value, generate_topology
+from .finsets import FinSet, Value, generate_topology
 # Not called here: the benchmark's tracer test (perfbench/tests) reads
 # pairwise_t2 from this module, as a name bound by `from .finsets import`.
 from .finsets import pairwise_t2  # noqa: F401
@@ -154,12 +154,17 @@ def parse_space(doc: dict) -> SpaceDescription:
     # verify decides on the induced families, which need the filtration,
     # and for check the guard is the one bound on the soft deciders' work:
     # past it the document is refused here, once it is known to be well
-    # formed and before any canonical product is built.
+    # formed and before any component topology is generated.
     check_filtration_guard(prod(len(s) for s in soft_set.sections))
-    taus = [
-        tau if isinstance(tau, SoftTopology) else canonical_topology(soft_set, tau)
-        for tau in parsed
-    ]
+    taus = []
+    for tau in parsed:
+        if not isinstance(tau, SoftTopology):
+            sigmas = [
+                generate_topology(subbase, n, carrier=carrier)
+                for subbase, carrier in zip(tau, soft_set.sections)
+            ]
+            tau = canonical_topology(soft_set, sigmas)
+        taus.append(tau)
     return SpaceDescription(
         universe, params, soft_set, taus[0], taus[1], representability
     )
@@ -171,9 +176,10 @@ def _parse_topology(
     soft_set: SoftSet,
     params: tuple[str, ...],
     elem_idx: dict[str, int],
-) -> SoftTopology | list[ClassicalTopology]:
+) -> SoftTopology | list[list[FinSet]]:
     """A document of opens as its validated soft topology, or a
-    `generate: canonical` document as its component topologies."""
+    `generate: canonical` document as its subbases, one per parameter,
+    each member checked to lie in the section."""
     where = f"topologies[{which}]"
     n = soft_set.universe_size
     if not isinstance(td, dict):
@@ -201,9 +207,8 @@ def _parse_topology(
         if not isinstance(subbases, dict):
             raise InputError(f"{where}.subbases must be a JSON object")
         _only_params(subbases, params, f"{where}.subbases")
-        sigmas = []
-        for t, p in enumerate(params):
-            carrier = soft_set.section(t)
+        out = []
+        for p, carrier in zip(params, soft_set.sections):
             members = subbases.get(p, [])
             if not isinstance(members, list):
                 raise InputError(f"{where}.subbases[{p}] must be a list")
@@ -213,8 +218,10 @@ def _parse_topology(
                 )
                 for s in members
             ]
-            sigmas.append(generate_topology(subbase, n, carrier=carrier))
-        return sigmas
+            if not all(s.issubset(carrier) for s in subbase):
+                raise InputError("subbase member not contained in the carrier")
+            out.append(subbase)
+        return out
     raise InputError(f"{where} needs 'opens' or 'generate: canonical'")
 
 

@@ -52,12 +52,11 @@ class Value:
         names = self._fields
         if kwargs or not self._required <= len(args) <= len(names):
             rest = names[len(args) :]
-            values = {**vars(type(self)), **kwargs}
-            if len(args) > len(names) or not kwargs.keys() <= {*rest} <= values.keys():
+            given = {*vars(type(self)), *kwargs}
+            if len(args) > len(names) or not kwargs.keys() <= {*rest} <= given:
                 raise TypeError(f"{type(self).__name__}() takes the fields {names}")
-            args += tuple(values[name] for name in rest)
         # Defaults left out here are read from the class.
-        self.__dict__.update(zip(names, args))
+        self.__dict__.update(zip(names, args), **kwargs)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -475,6 +474,14 @@ def _min_cover(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
     def search(start: int, left: int, uncovered: int) -> tuple[int, ...] | None:
         if not uncovered:
             return ()
+        if left == 1:
+            # A leaf: the first member from start on that covers the rest.
+            if uncovered & ~suffix[start]:
+                return None
+            for i in range(start, n):
+                if not uncovered & ~masks[i]:
+                    return (i,)
+            return None
         for i in range(start, n - left + 1):
             if not left or uncovered & ~suffix[i]:
                 return None

@@ -34,6 +34,7 @@ from .softtop import (
     canonical_enlargement,
     canonical_topology,
     check_finest_open_projections,
+    check_product_guard,
     component_topology,
     is_canonical,
     reconstruct,
@@ -360,8 +361,12 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
     soft disjointness needs an empty intersection at every parameter.  A
     FAIL on any other row indicates an implementation bug.
     """
-    # `separation` refuses a space past the filtration guard before
+    # The rows below list the opens of both topologies and of their
+    # enlargements: a canonical product past its guard is refused here,
+    # as `separation` refuses a space past the filtration guard, before
     # anything is decided.
+    for tau in (space.tau1, space.tau2):
+        check_product_guard(len(tau.enlargement))
     sep = space.separation
     checks: list[TheoremCheck] = []
     p = space.soft_set.param_count

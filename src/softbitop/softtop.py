@@ -43,11 +43,41 @@ def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
 
 class SoftTopology(Value):
     """A validated soft topology, its opens held flat (`flat_soft_set`),
-    deduplicated and in key order: by section masks, section 0 first."""
+    deduplicated and in key order: by section masks, section 0 first.
+
+    A topology given by its opens (`build`) holds them as its field
+    `flat_opens`.  One built by `canonical_topology` is born with its
+    component topologies alone and lists `flat_opens`, their product,
+    on first read, under the canonical-product guard; its size,
+    membership test and least cells read the components and list
+    nothing.  Equality, hashing, `repr`, copies and pickles are by the
+    fields, so they list the opens, and past the guard they raise its
+    `CapacityError`."""
 
     __slots__ = ("__dict__", "_components")
     ambient: SoftSet
+    # A field with a default: the property below, which lists the opens
+    # of a topology built without them.
     flat_opens: tuple[int, ...]
+
+    @cached_property
+    def flat_opens(self) -> tuple[int, ...]:
+        """The product of the component opens, listed on first read:
+        ascending component masks, section 0 outermost, come out distinct
+        and in key order.  Only a topology built by `canonical_topology`
+        reads it here; one built from its opens holds it as a field."""
+        try:
+            sigmas = self._components
+        except AttributeError:
+            raise TypeError(
+                "a soft topology needs its flat opens or its components"
+            ) from None
+        check_product_guard(len(self))
+        n, flat = self.ambient.universe_size, [0]
+        for t, sigma in enumerate(sigmas):
+            shifted = [m << t * n for m in sigma.open_masks]
+            flat = [f | m for f in flat for m in shifted]
+        return tuple(flat)
 
     @classmethod
     def build(cls, opens: Iterable[SoftSet], ambient: SoftSet) -> "SoftTopology":
@@ -75,10 +105,21 @@ class SoftTopology(Value):
         return frozenset(self.flat_opens)
 
     def contains(self, h: SoftSet) -> bool:
-        a = self.ambient
-        if h.param_count != a.param_count or h.universe_size != a.universe_size:
+        """h is open.  Unlisted, the topology is the product of its
+        components: h is open iff each t-section is open at t."""
+        # The shape test reads the sections, not the properties over them:
+        # cover searches call this per member.
+        sections, shape = h.sections, self.ambient.sections
+        if len(sections) != len(shape):
             return False
-        return flat_soft_set(h) in self.flat_open_set
+        if sections[0].universe_size != shape[0].universe_size:
+            return False
+        if "flat_opens" in self.__dict__:
+            return flat_soft_set(h) in self.flat_open_set
+        for sigma, s in zip(self.components, sections):
+            if s.mask not in sigma._mask_set:
+                return False
+        return True
 
     @cached_property
     def least_cells(self) -> tuple[int, ...]:
@@ -93,7 +134,7 @@ class SoftTopology(Value):
         component at t, shifted to parameter t; otherwise U(c) is the AND
         of the opens around c."""
         n, sigmas = self.ambient.universe_size, self.components
-        if len(self.flat_opens) == prod(len(s.opens) for s in sigmas):
+        if len(self) == prod(len(s.opens) for s in sigmas):
             return tuple(
                 at_x[0] << t * n if at_x else 0
                 for t, sigma in enumerate(sigmas)
@@ -143,7 +184,21 @@ class SoftTopology(Value):
         return induced_topology(self)
 
     def __len__(self) -> int:
-        return len(self.flat_opens)
+        """The number of opens: an unlisted topology has one per choice of
+        component opens."""
+        if "flat_opens" in self.__dict__:
+            return len(self.flat_opens)
+        return prod(len(sigma.opens) for sigma in self.components)
+
+
+def check_product_guard(count: int) -> None:
+    """Refuse to list a canonical topology of more than
+    CANONICAL_PRODUCT_LIMIT opens."""
+    if count > CANONICAL_PRODUCT_LIMIT:
+        raise CapacityError(
+            f"canonical topology would have {count} opens; guard is "
+            f"{CANONICAL_PRODUCT_LIMIT}"
+        )
 
 
 def _build_component(tau: SoftTopology, t: int) -> ClassicalTopology:
@@ -176,7 +231,11 @@ def _ascending(sigma: ClassicalTopology) -> ClassicalTopology:
 def canonical_topology(
     ambient: SoftSet, sigmas: Sequence[ClassicalTopology]
 ) -> SoftTopology:
-    """All soft subsets whose t-section is open in sigmas[t], for every t."""
+    """All soft subsets whose t-section is open in sigmas[t], for every t.
+
+    The topology keeps the sigmas as its components and lists its opens,
+    their product, only when they are read (`SoftTopology.flat_opens`):
+    the canonical-product guard is tested there, not here."""
     if len(sigmas) != ambient.param_count:
         raise InputError("need one topology per parameter")
     n = ambient.universe_size
@@ -185,23 +244,10 @@ def canonical_topology(
             raise InputError("component topology universe mismatch")
         if sigma.carrier != ambient.section(t):
             raise InputError(f"component topology at {t} must live on the section")
-    sigmas = tuple(map(_ascending, sigmas))
-    count = prod(len(s.opens) for s in sigmas)
-    if count > CANONICAL_PRODUCT_LIMIT:
-        raise CapacityError(
-            f"canonical topology would have {count} opens; guard is "
-            f"{CANONICAL_PRODUCT_LIMIT}"
-        )
-    # The product of ascending component masks, section 0 outermost,
-    # comes out distinct and in key order.
-    flat = [0]
-    for t, sigma in enumerate(sigmas):
-        shifted = [m << t * n for m in sigma.open_masks]
-        flat = [f | m for f in flat for m in shifted]
-    tau = SoftTopology(ambient, tuple(flat))
-    # The t-sections of the product are the opens of sigmas[t]: kept, they
-    # spare a rebuild from every open.
-    object.__setattr__(tau, "_components", sigmas)
+    tau = SoftTopology(ambient)
+    # The t-sections of the product are the opens of sigmas[t]: they fix
+    # the topology, and spare a rebuild from every open.
+    object.__setattr__(tau, "_components", tuple(map(_ascending, sigmas)))
     return tau
 
 

@@ -180,16 +180,36 @@ def test_check_builds_no_induced_family(capsys, monkeypatch, document):
     assert not built
 
 
+def discrete_1_parameter_doc(points: int) -> dict:
+    """`fixtures/discrete_16x1.json` on `points` points: one parameter,
+    the discrete topology against {}, {u0} and all points."""
+    names = [f"u{i}" for i in range(points)]
+    return {
+        "universe": names,
+        "params": ["a1"],
+        "sections": {"a1": names},
+        "topologies": [
+            {"generate": "canonical", "subbases": {"a1": [[u] for u in names]}},
+            {"generate": "canonical", "subbases": {"a1": [["u0"]]}},
+        ],
+    }
+
+
+def write_discrete_1_parameter_space(tmp_path, points: int) -> str:
+    return _write_doc(tmp_path, discrete_1_parameter_doc(points))
+
+
 @pytest.mark.parametrize("command", ["check", "verify"])
 def test_past_the_filtration_guard_nothing_is_decided(
     capsys, monkeypatch, tmp_path, command
 ):
-    """Two canonical documents past the guard: 2 points x 12 parameters,
-    indiscrete on both sides (4,096 soft elements), and 2 points x 9
+    """Three canonical documents past the guard: 2 points x 12 parameters,
+    indiscrete on both sides (4,096 soft elements), 2 points x 9
     parameters, discrete on both sides (512 soft elements, 262,144 opens
-    per topology).  Both commands refuse each document once it is parsed,
-    before a canonical product is built or a decider builds a least
-    open."""
+    per topology), and 22 points x 1 parameter, discrete against {}, {u0}
+    and all points (22 soft elements, 2^22 opens).  Both commands refuse
+    each document once it is parsed, before a component topology is
+    generated or a decider builds a least open."""
     builds = Counter()
     least_opens = SoftTopology.least_opens
 
@@ -197,12 +217,17 @@ def test_past_the_filtration_guard_nothing_is_decided(
         builds["least_opens"] += 1
         return least_opens.func(tau)
 
-    def canonical(*args):
-        builds["canonical_topology"] += 1
-        return canonical_topology(*args)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            builds[name] += 1
+            return original(*args, **kwargs)
+
+        return call
 
     monkeypatch.setattr(SoftTopology, "least_opens", property(counting))
-    monkeypatch.setattr(cli, "canonical_topology", canonical)
+    for name in ("canonical_topology", "generate_topology"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    documents = []
     for params, subbase, size in (
         ([f"p{k}" for k in range(12)], [], 4096),
         ([f"p{k}" for k in range(9)], [["x0"], ["x1"]], 512),
@@ -214,6 +239,9 @@ def test_past_the_filtration_guard_nothing_is_decided(
             "sections": {p: ["x0", "x1"] for p in params},
             "topologies": [side, side],
         }
+        documents.append((doc, size))
+    documents.append((discrete_1_parameter_doc(22), 22))
+    for doc, size in documents:
         code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
         assert (code, out) == (3, "")
         assert err == (
@@ -222,32 +250,55 @@ def test_past_the_filtration_guard_nothing_is_decided(
     assert builds == {}
 
 
-def write_discrete_1_parameter_space(tmp_path, points: int) -> str:
-    """`fixtures/discrete_16x1.json` on `points` points: one parameter,
-    the discrete topology against {}, {u0} and all points."""
-    names = [f"u{i}" for i in range(points)]
-    doc = {
-        "universe": names,
-        "params": ["a1"],
-        "sections": {"a1": names},
-        "topologies": [
-            {"generate": "canonical", "subbases": {"a1": [[u] for u in names]}},
-            {"generate": "canonical", "subbases": {"a1": [["u0"]]}},
-        ],
-    }
-    return _write_doc(tmp_path, doc)
+@pytest.mark.parametrize("points", [None, 18], ids=["canonical_discrete", "18_points"])
+def test_check_lists_no_canonical_open(capsys, monkeypatch, tmp_path, points):
+    """check reads sizes, least cells and membership from the components:
+    on two canonical documents, `fixtures/canonical_discrete.json` and the
+    discrete topology on 18 points x 1 parameter (2^18 opens, the most the
+    guard admits), neither topology lists its opens."""
+    parsed = []
+
+    def parse(doc):
+        parsed.append(parse_space(doc))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_space", parse)
+    path = (
+        CANONICAL_DISCRETE
+        if points is None
+        else write_discrete_1_parameter_space(tmp_path, points)
+    )
+    code, _, _ = run_cli(capsys, "check", path)
+    (desc,) = parsed
+    assert code == 0
+    assert "flat_opens" not in vars(desc.tau1) and "flat_opens" not in vars(desc.tau2)
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])
-def test_canonical_product_guard_refuses_19_points(capsys, tmp_path, command):
+def test_canonical_product_guard_refuses_19_points(
+    capsys, monkeypatch, tmp_path, command
+):
     """The discrete topology on 19 points x 1 parameter has 2^19 canonical
-    opens, past the guard of 2^18: refused before a decider runs.  Under a
-    guard of 2^20 it was decided, in about 5 s (check) and 14 s (verify)
-    on a 2-vCPU host, past the 10-s target."""
-    code, out, err = run_cli(
-        capsys, command, write_discrete_1_parameter_space(tmp_path, 19)
-    )
-    assert (code, out) == (3, "")
+    opens, past the guard of 2^18, which bounds their listing.  check lists
+    no open and decides the document; verify lists them, and refuses it
+    before a decider runs.  Under a guard of 2^20 verify decided it in
+    about 14 s on a 2-vCPU host, past the 10-s target."""
+    path = write_discrete_1_parameter_space(tmp_path, 19)
+    if command == "check":
+        code, out, _ = run_cli(capsys, command, "--json", path)
+        assert code == 0
+        assert json.loads(out)["tau1"] == {"opens": 524288, "canonical": True}
+        return
+    separations = Counter()
+    separation = pairwise.SoftBitopSpace.separation
+
+    def counting(space):
+        separations["separation"] += 1
+        return separation.func(space)
+
+    monkeypatch.setattr(pairwise.SoftBitopSpace, "separation", property(counting))
+    code, out, err = run_cli(capsys, command, path)
+    assert (code, out, separations) == (3, "", {})
     assert err == (
         "capacity error: canonical topology would have 524288 opens; "
         "guard is 262144\n"
@@ -276,7 +327,8 @@ def test_malformed_document_past_the_filtration_guard_exits_2(
 ):
     """The guard is tested only once the document is well formed: past it,
     an unknown name in a subbase of the second topology or in the
-    representability list is still an input error."""
+    representability list, or a subbase member outside its section, is
+    still an input error."""
     params = [f"p{k}" for k in range(9)]
     side = {"generate": "canonical", "subbases": {p: [["x0"]] for p in params}}
     base = {
@@ -286,13 +338,18 @@ def test_malformed_document_past_the_filtration_guard_exits_2(
         "topologies": [side, side],
     }
     broken = {"generate": "canonical", "subbases": {"p0": [["x9"]]}}
-    for doc in (
-        {**base, "topologies": [side, broken]},
-        {**base, "representability": [["x9"] * len(params)]},
+    unknown = "input error: unknown name 'x9'"
+    for doc, start in (
+        ({**base, "topologies": [side, broken]}, unknown),
+        ({**base, "representability": [["x9"] * len(params)]}, unknown),
+        (
+            {**base, "sections": {**base["sections"], "p8": ["x1"]}},
+            "input error: subbase member not contained in the carrier",
+        ),
     ):
         code, out, err = run_cli(capsys, command, _write_doc(tmp_path, doc))
         assert (code, out) == (2, "")
-        assert err.startswith("input error: unknown name 'x9'"), err
+        assert err.startswith(start), err
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

@@ -22,6 +22,7 @@ from softbitop import (
     pairwise_t1,
     pairwise_t2,
 )
+from softbitop.finsets import _min_cover
 
 # ---------------------------------------------------------------- oracles
 
@@ -352,3 +353,41 @@ def test_minimal_subcover_tie_break():
 def test_minimal_subcover_not_a_cover():
     with pytest.raises(NotACoverError):
         minimal_subcover_indices([FinSet.of([0], 2)], FinSet.full(2))
+
+
+def min_cover_by_combinations(masks, target):
+    """The first index tuple, in `combinations` order by size, whose masks
+    cover target, or None."""
+    for k in range(len(masks) + 1):
+        for combo in itertools.combinations(range(len(masks)), k):
+            union = 0
+            for i in combo:
+                union |= masks[i]
+            if not target & ~union:
+                return combo
+    return None
+
+
+def test_min_cover_on_every_family_of_five_masks_over_three_points():
+    """Every family of up to 5 masks over 3 points, repeats and zero masks
+    included, against every target, coverable or not."""
+    for size in range(6):
+        for masks in itertools.product(range(8), repeat=size):
+            for target in range(8):
+                assert _min_cover(masks, target) == min_cover_by_combinations(
+                    masks, target
+                ), (masks, target)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+            st.integers(0, (1 << n) - 1),
+        )
+    )
+)
+def test_min_cover_on_arbitrary_families(instance):
+    masks, target = instance
+    assert _min_cover(masks, target) == min_cover_by_combinations(masks, target)

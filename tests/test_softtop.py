@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from softbitop import (
@@ -20,6 +22,7 @@ from softbitop import (
     reconstruct,
     se_of_softset,
 )
+from softbitop.pairwise import candidate_soft_topologies
 from softbitop.softsets import flat_soft_set
 from conftest import random_carrier, random_soft_topology, rng_for
 
@@ -181,6 +184,72 @@ def test_contains_refuses_a_soft_set_of_another_shape():
     assert tau.contains(SQUARE)
     assert not tau.contains(SoftSet.of([[0, 1], [0, 1], []], 2))
     assert not tau.contains(SoftSet.of([[0, 1], [0]], 3))
+
+
+def unlisted(tau):
+    """A new canonical topology on tau's components, its opens unlisted."""
+    can = canonical_topology(tau.ambient, tau.components)
+    assert "flat_opens" not in can.__dict__
+    return can
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1), (2, 3)])
+def test_unlisted_canonical_topology_agrees_with_its_listing(n, p):
+    """On every pool entry's enlargement, size, membership and least cells
+    are read from the components with no open listed, and agree with the
+    topology built from the listed opens; equality, hashing and pickles
+    list the opens and agree too.  Membership is tested on every soft
+    subset of the carrier and on soft sets of other shapes."""
+    for entry in candidate_soft_topologies(n, p):
+        listed = SoftTopology.build(unlisted(entry).opens, entry.ambient)
+        can = unlisted(entry)
+        assert len(can) == len(listed)
+        for h in all_soft_subsets(entry.ambient):
+            assert can.contains(h) == listed.contains(h), h
+        for other in (SoftSet.null(p + 1, n), SoftSet.null(p, n + 1)):
+            assert not can.contains(other)
+        assert can.least_cells == listed.least_cells
+        assert "flat_opens" not in can.__dict__
+        assert can == listed and hash(unlisted(entry)) == hash(listed)
+        twin = pickle.loads(pickle.dumps(unlisted(entry)))
+        assert twin == listed and twin.flat_opens == listed.flat_opens
+
+
+def test_canonical_product_guard_bounds_the_listing():
+    """10 points x 2 parameters, discrete: 2^20 opens, past the guard of
+    2^18.  The topology is built, sized, and tests membership; listing
+    its opens, and so comparing, hashing or pickling it, is refused."""
+    ambient = SoftSet.of([range(10)] * 2, 10)
+    disc = ClassicalTopology(
+        10, FinSet.full(10), tuple(FinSet(10, m) for m in range(1 << 10))
+    )
+    tau = canonical_topology(ambient, [disc, disc])
+    assert len(tau) == 1 << 20
+    assert tau.contains(SoftSet.of([[1, 2], [9]], 10))
+    assert is_canonical(tau)
+    refused = "canonical topology would have 1048576 opens; guard is 262144"
+    for read in (
+        lambda: tau.flat_opens,
+        lambda: tau.opens,
+        lambda: tau == canonical_topology(ambient, [disc, disc]),
+        lambda: hash(tau),
+        lambda: pickle.dumps(tau),
+    ):
+        with pytest.raises(CapacityError, match=refused):
+            read()
+    assert "flat_opens" not in tau.__dict__
+
+
+def test_topology_without_opens_or_components_fails_loudly():
+    for tau in (SoftTopology(SQUARE), SoftTopology(ambient=SQUARE)):
+        for read in (
+            lambda: tau.flat_opens,
+            lambda: len(tau),
+            lambda: tau.components,
+            lambda: tau.contains(SQUARE),
+        ):
+            with pytest.raises(TypeError, match="needs its flat opens"):
+                read()
 
 
 def test_canonical_enlargement_of_indiscrete():
