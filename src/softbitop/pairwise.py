@@ -31,8 +31,9 @@ from .softsets import (
 from .softtop import (
     SEFamily,
     SoftTopology,
+    _checked_component,
+    _product_topology,
     canonical_enlargement,
-    canonical_topology,
     check_finest_open_projections,
     check_product_guard,
     component_topology,
@@ -517,11 +518,15 @@ def _diagonal_lift(
 def candidate_soft_topologies(n: int, p: int) -> list[SoftTopology]:
     """Deterministic pool of soft topologies on the full constant carrier:
     diagonal lifts of every labeled topology, then every canonical
-    product, deduplicated in first-seen order."""
+    product, deduplicated in first-seen order.  Every section of the
+    ambient is the full carrier, so each enumerated topology is checked
+    once as a component, and every product is built from the checked
+    ones."""
     ambient = SoftSet.of([range(n)] * p, n)
     topos = enumerate_topologies(n)
     lifts = (_diagonal_lift(ambient, sigma.opens) for sigma in topos)
-    products = (canonical_topology(ambient, s) for s in product(topos, repeat=p))
+    checked = [_checked_component(ambient, 0, sigma) for sigma in topos]
+    products = (_product_topology(ambient, s) for s in product(checked, repeat=p))
     pool: dict[tuple[int, ...], SoftTopology] = {}
     for tau in chain(lifts, products):
         pool.setdefault(tau.flat_opens, tau)

@@ -78,7 +78,7 @@ class SoftSet(Value):
     @property
     def key(self) -> tuple[int, ...]:
         """Canonical sort/equality key: the tuple of section masks."""
-        return tuple(s.mask for s in self.sections)
+        return tuple([s.mask for s in self.sections])
 
     @property
     def is_null(self) -> bool:

@@ -4,14 +4,15 @@ they induce on the enumerated soft elements."""
 from __future__ import annotations
 
 from array import array
+from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
-from itertools import compress, islice
+from itertools import compress, islice, product, repeat
 from math import prod
 from operator import lt
 
 from .errors import CapacityError, InputError
-from .finsets import ClassicalTopology, FinSet, Value, _least
+from .finsets import ClassicalTopology, FinSet, Value, _least, bits
 from .finsets import generate_topology, is_topology_masks
 from .softsets import (
     ElementSpace,
@@ -49,10 +50,10 @@ class SoftTopology(Value):
     `flat_opens`.  One built by `canonical_topology` is born with its
     component topologies alone and lists `flat_opens`, their product,
     on first read, under the canonical-product guard; its size,
-    membership test and least cells read the components and list
-    nothing.  Equality, hashing, `repr`, copies and pickles are by the
-    fields, so they list the opens, and past the guard they raise its
-    `CapacityError`."""
+    membership test, least cells and soft opens read the components and
+    list no flat open.  Equality, hashing, `repr`, copies and pickles are
+    by the fields, so they list the opens, and past the guard they raise
+    its `CapacityError`."""
 
     __slots__ = ("__dict__", "_components")
     ambient: SoftSet
@@ -91,13 +92,30 @@ class SoftTopology(Value):
     def opens(self) -> tuple[SoftSet, ...]:
         """The opens as soft sets, in the order of `flat_opens`, built on
         first use.  Their t-sections are the opens of the component at t,
-        shared by every open and with the component."""
-        n = self.ambient.universe_size
-        full, columns = (1 << n) - 1, []
-        for t, sigma in enumerate(self.components):
-            sections = {o.mask: o for o in sigma.opens}
-            columns.append([sections[f >> t * n & full] for f in self.flat_opens])
-        return tuple(map(SoftSet, zip(*columns)))
+        shared by every open and with the component.
+
+        A canonical topology's opens are the product of its component
+        opens, which ascend, so the product comes out in key order; it is
+        listed under the canonical-product guard, and no flat open is
+        listed or decoded.  Any other topology decodes its flat opens
+        column by column."""
+        sigmas = self.components
+        if not self._is_product():
+            n = self.ambient.universe_size
+            full, columns = (1 << n) - 1, []
+            for t, sigma in enumerate(sigmas):
+                sections = {o.mask: o for o in sigma.opens}
+                columns.append([sections[f >> t * n & full] for f in self.flat_opens])
+            return tuple(map(SoftSet, zip(*columns)))
+        check_product_guard(len(self))
+        sections = list(product(*(sigma.opens for sigma in sigmas)))
+        # SoftSet's check that the sections share a universe cannot fail
+        # here: each t-section is an open of the component at t, whose
+        # universe is the ambient's.  So the opens are made bare and their
+        # sections set directly.
+        opens = list(map(SoftSet.__new__, repeat(SoftSet, len(sections))))
+        deque(map(SoftSet.sections.__set__, opens, sections), 0)
+        return tuple(opens)
 
     @cached_property
     def flat_open_set(self) -> frozenset[int]:
@@ -121,6 +139,12 @@ class SoftTopology(Value):
                 return False
         return True
 
+    def _is_product(self) -> bool:
+        """The topology is canonical: it lies inside its enlargement, which
+        has one open per choice of component opens, so it equals it iff it
+        has that many opens."""
+        return len(self) == prod(len(sigma.opens) for sigma in self.components)
+
     @cached_property
     def least_cells(self) -> tuple[int, ...]:
         """For each cell c, U(c), the least open around c, as a flat soft
@@ -128,13 +152,11 @@ class SoftTopology(Value):
         topology on the cells, so these fix it: each open is the union of
         the U(c) over its cells.
 
-        The topology lies inside its enlargement, which has one open per
-        choice of component opens, so it is canonical iff it has that many
-        opens.  Then U(t, x) is U_t(x), the least open around x in the
-        component at t, shifted to parameter t; otherwise U(c) is the AND
-        of the opens around c."""
+        When the topology is canonical (`_is_product`), U(t, x) is U_t(x),
+        the least open around x in the component at t, shifted to
+        parameter t; otherwise U(c) is the AND of the opens around c."""
         n, sigmas = self.ambient.universe_size, self.components
-        if len(self) == prod(len(s.opens) for s in sigmas):
+        if self._is_product():
             return tuple(
                 at_x[0] << t * n if at_x else 0
                 for t, sigma in enumerate(sigmas)
@@ -228,27 +250,44 @@ def _ascending(sigma: ClassicalTopology) -> ClassicalTopology:
     return ClassicalTopology(n, sigma.carrier, tuple(FinSet(n, x) for x in sorted(set(m))))
 
 
+def _checked_component(
+    ambient: SoftSet, t: int, sigma: ClassicalTopology
+) -> ClassicalTopology:
+    """sigma as the component at t of a canonical topology on the ambient:
+    it must live on the t-section, and it is taken `_ascending`."""
+    n = ambient.universe_size
+    if sigma.universe_size != n or any(o.universe_size != n for o in sigma.opens):
+        raise InputError("component topology universe mismatch")
+    if sigma.carrier != ambient.section(t):
+        raise InputError(f"component topology at {t} must live on the section")
+    return _ascending(sigma)
+
+
+def _product_topology(
+    ambient: SoftSet, components: tuple[ClassicalTopology, ...]
+) -> SoftTopology:
+    """The canonical topology of components checked by `_checked_component`,
+    one per parameter.  The t-sections of the product are the opens of
+    components[t]: they fix the topology, and spare a rebuild from every
+    open."""
+    tau = SoftTopology(ambient)
+    object.__setattr__(tau, "_components", components)
+    return tau
+
+
 def canonical_topology(
     ambient: SoftSet, sigmas: Sequence[ClassicalTopology]
 ) -> SoftTopology:
     """All soft subsets whose t-section is open in sigmas[t], for every t.
 
     The topology keeps the sigmas as its components and lists its opens,
-    their product, only when they are read (`SoftTopology.flat_opens`):
-    the canonical-product guard is tested there, not here."""
+    their product, only when they are read (`SoftTopology.flat_opens` and
+    `SoftTopology.opens`): the canonical-product guard is tested there,
+    not here."""
     if len(sigmas) != ambient.param_count:
         raise InputError("need one topology per parameter")
-    n = ambient.universe_size
-    for t, sigma in enumerate(sigmas):
-        if sigma.universe_size != n or any(o.universe_size != n for o in sigma.opens):
-            raise InputError("component topology universe mismatch")
-        if sigma.carrier != ambient.section(t):
-            raise InputError(f"component topology at {t} must live on the section")
-    tau = SoftTopology(ambient)
-    # The t-sections of the product are the opens of sigmas[t]: they fix
-    # the topology, and spare a rebuild from every open.
-    object.__setattr__(tau, "_components", tuple(map(_ascending, sigmas)))
-    return tau
+    checked = (_checked_component(ambient, t, s) for t, s in enumerate(sigmas))
+    return _product_topology(ambient, tuple(checked))
 
 
 def canonical_enlargement(tau: SoftTopology) -> SoftTopology:
@@ -493,9 +532,14 @@ def reconstruct(u: SEFamily) -> Reconstruction:
         raise InputError("the soft-element list must be nonempty")
     ambient = space.soft_set
     n = ambient.universe_size
-    sigmas = tuple(
-        generate_topology([FinSet(n, m) for m in masks], n, carrier=ambient.section(t))
-        for t, masks in enumerate(u.sections)
-    )
+    # The sections generate the topology their least members U(x) around
+    # the carrier points generate (`_least`): each U(x) lies in every
+    # U(y) that holds x, so U(x) is also the least of the U(y) around x.
+    # So only those masks, at most one per point, are taken as FinSets.
+    generated = []
+    for masks, c in zip(u.sections, ambient.sections):
+        least = {_least(masks, c.mask, x) for x in bits(c.mask)}
+        generated.append(generate_topology([FinSet(n, m) for m in least], n, c))
+    sigmas = tuple(generated)
     tau_hat = canonical_topology(ambient, sigmas)
     return Reconstruction(sigmas, tau_hat, _sections_open(u, sigmas))

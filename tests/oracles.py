@@ -40,6 +40,15 @@ behind `SoftTopology.build`).  The library builds the flat opens as ORs
 of shifted component masks, already in key order, and builds the
 `SoftSet` objects only when `SoftTopology.opens` is read.
 
+`decoded_opens` is the former `SoftTopology.opens`: each flat open
+decoded, section by section, through a dict from the component's masks
+to its opens.  The library keeps that decode for a topology that is not
+canonical, and lists a canonical topology's opens as the product of its
+component opens.  `candidate_soft_topologies` is the former pool of
+`softbitop.pairwise`: one `canonical_topology` call per product, each
+checking every component again.  The library checks each enumerated
+topology once and builds every product from the checked ones.
+
 `as_classical` is the former view of an induced family as a topology
 over soft-element indices, with the former scan for its minimal members
 (members visited by size; a member is minimal at a point iff no minimal
@@ -71,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
@@ -84,12 +93,14 @@ from softbitop.finsets import (
     Witness,
     _collect_masks,
     bits,
+    enumerate_topologies,
 )
 from softbitop import softtop
 from softbitop.pairwise import (
     SoftBitopSpace,
     SoftCover,
     Verdict,
+    _diagonal_lift,
     cylinder,
     is_pairwise_soft_cover,
 )
@@ -270,6 +281,31 @@ def canonical_opens(sigmas: Sequence[ClassicalTopology]) -> tuple[SoftSet, ...]:
     sorted by key."""
     product_opens = product(*(sigma.opens for sigma in sigmas))
     return canonical_family(SoftSet(choice) for choice in product_opens)
+
+
+def decoded_opens(tau: SoftTopology) -> tuple[SoftSet, ...]:
+    """The opens as soft sets, in the order of `flat_opens`: the t-section
+    of each flat open decoded to the component's open of that mask."""
+    n = tau.ambient.universe_size
+    full, columns = (1 << n) - 1, []
+    for t, sigma in enumerate(tau.components):
+        sections = {o.mask: o for o in sigma.opens}
+        columns.append([sections[f >> t * n & full] for f in tau.flat_opens])
+    return tuple(map(SoftSet, zip(*columns)))
+
+
+def candidate_soft_topologies(n: int, p: int) -> list[SoftTopology]:
+    """The pool of `softbitop.pairwise.candidate_soft_topologies`: diagonal
+    lifts of every labeled topology, then one `canonical_topology` per
+    product, deduplicated by flat opens in first-seen order."""
+    ambient = SoftSet.of([range(n)] * p, n)
+    topos = enumerate_topologies(n)
+    lifts = (_diagonal_lift(ambient, sigma.opens) for sigma in topos)
+    products = (canonical_topology(ambient, s) for s in product(topos, repeat=p))
+    pool: dict[tuple[int, ...], SoftTopology] = {}
+    for tau in chain(lifts, products):
+        pool.setdefault(tau.flat_opens, tau)
+    return list(pool.values())
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:

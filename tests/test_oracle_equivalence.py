@@ -28,7 +28,12 @@ enlargement gives; the components a canonical topology keeps, and the
 least cells it reads from them, must equal those read from the opens,
 on the topology and on a pickled copy.  The flat canonical product must give
 the opens of the product of `SoftSet` objects sorted by key, and
-`SoftTopology.build` the family sorted by key.  The induced verdicts that
+`SoftTopology.build` the family sorted by key.  `SoftTopology.opens`,
+the product of the component opens on a canonical topology, must give
+the column decode of the flat opens it replaced
+(`oracles.decoded_opens`), and the candidate pool, built from
+components checked once, the pool of one `canonical_topology` per
+product (`oracles.candidate_soft_topologies`).  The induced verdicts that
 `SoftBitopSpace.separation` reads from the carrier's shape must equal
 those decided on the induced pair's subset tables, and soft T2, read from
 the shape too, must give the scan's verdict and witness: on the
@@ -1185,6 +1190,49 @@ def test_canonical_topology_against_softset_product():
             assert tau.flat_opens == tuple(map(flat_soft_set, expected)), pair
             assert tau.opens == expected, pair
             assert_least_tables_agree(tau)
+
+
+POOL_SHAPES = [(n, p) for n in (1, 2, 3) for p in (1, 2)] + [(2, 3)]
+
+
+@pytest.mark.parametrize("n, p", POOL_SHAPES)
+def test_candidate_pool_against_one_canonical_topology_per_product(n, p):
+    """The pool built from components checked once has the entries, in
+    the order, the flat opens and the components of the pool built by one
+    `canonical_topology` call per product."""
+    pool, expected = candidate_soft_topologies(n, p), oracles.candidate_soft_topologies(n, p)
+    assert [tau.flat_opens for tau in pool] == [tau.flat_opens for tau in expected]
+    assert pool == expected
+    assert [tau.components for tau in pool] == [tau.components for tau in expected]
+
+
+def assert_opens_agree(tau):
+    """tau's opens, read first, are the decoded flat opens, in the order
+    of `flat_opens`, and each equals, hashes and pickles like the soft set
+    `SoftSet` builds from its sections."""
+    opens = tau.opens
+    assert opens == oracles.decoded_opens(tau), tau.flat_opens
+    assert tuple(map(flat_soft_set, opens)) == tau.flat_opens
+    for h in opens:
+        built = SoftSet(h.sections)
+        assert h == built and hash(h) == hash(built) and h.key == built.key
+        assert pickle.dumps(h) == pickle.dumps(built)
+        assert pickle.loads(pickle.dumps(h)) == built
+
+
+@pytest.mark.parametrize("n, p", POOL_SHAPES)
+def test_opens_against_the_column_decode_on_pools(n, p):
+    """Every pool entry (the diagonal lifts are given by their opens, the
+    products listed by the pool's dedupe), the canonical topology on its
+    components with nothing listed, and the topology `SoftTopology.build`
+    makes from its opens, which is canonical for every product."""
+    for tau in candidate_soft_topologies(n, p):
+        fresh = canonical_topology(tau.ambient, tau.components)
+        fresh.opens
+        assert "flat_opens" not in vars(fresh)
+        built = SoftTopology.build(tau.opens, tau.ambient)
+        for each in (tau, fresh, built):
+            assert_opens_agree(each)
 
 
 @st.composite

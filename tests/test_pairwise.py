@@ -600,10 +600,11 @@ def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
     """The pairs are decided on the pool's entries, so no pair builds a
     SoftBitopSpace, and class (ii) reads each entry's least cell
     neighbourhoods instead of building its enlargement: past the pools
-    themselves, no canonical product is built."""
+    themselves, no canonical product is built.  Every canonical product,
+    the pool's and `canonical_topology`'s, is built by `_product_topology`."""
     count = Counter()
     post_init = SoftBitopSpace.__post_init__
-    canonical = softtop.canonical_topology
+    canonical = softtop._product_topology
 
     def counting_space(self):
         count["spaces"] += 1
@@ -615,8 +616,8 @@ def test_search_builds_no_pair_space_and_no_enlargement(monkeypatch):
 
     pools = sum(len(enumerate_topologies(n)) ** p for n in (1, 2) for p in (1, 2))
     monkeypatch.setattr(SoftBitopSpace, "__post_init__", counting_space)
-    monkeypatch.setattr(softtop, "canonical_topology", counting_canonical)
-    monkeypatch.setattr(pairwise, "canonical_topology", counting_canonical)
+    monkeypatch.setattr(softtop, "_product_topology", counting_canonical)
+    monkeypatch.setattr(pairwise, "_product_topology", counting_canonical)
     result = search_counterexamples(2, 2)
     assert len(result.strict_enlargements) == 5
     assert count == {"canonical": pools}

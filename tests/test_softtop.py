@@ -240,6 +240,27 @@ def test_canonical_product_guard_bounds_the_listing():
     assert "flat_opens" not in tau.__dict__
 
 
+def test_opens_of_an_unlisted_canonical_topology_list_no_flat_opens():
+    """The opens of a canonical topology are the product of its component
+    opens, in key order, read with no flat open listed."""
+    tau = canonical_topology(SQUARE, [discrete(2), indiscrete(2)])
+    keys = [h.key for h in tau.opens]
+    assert "flat_opens" not in tau.__dict__
+    assert keys == sorted(keys) == [(a, b) for a in range(4) for b in (0, 3)]
+    assert tuple(map(flat_soft_set, tau.opens)) == tau.flat_opens
+
+
+def test_opens_past_the_guard_list_nothing():
+    """2 points x 10 parameters, discrete: 2^20 opens.  Reading the opens
+    raises the guard's error before any open, flat or soft, is listed."""
+    ambient = SoftSet.of([range(2)] * 10, 2)
+    tau = canonical_topology(ambient, [discrete(2)] * 10)
+    refused = "canonical topology would have 1048576 opens; guard is 262144"
+    with pytest.raises(CapacityError, match=refused):
+        tau.opens
+    assert "opens" not in tau.__dict__ and "flat_opens" not in tau.__dict__
+
+
 def test_topology_without_opens_or_components_fails_loudly():
     for tau in (SoftTopology(SQUARE), SoftTopology(ambient=SQUARE)):
         for read in (
