@@ -237,7 +237,7 @@ class ClassicalTopology(Value):
         opens = list(opens)
         if not is_topology(opens, n, carrier):
             raise InputError("family is not a topology on the carrier")
-        return cls(n, carrier, _canonical_opens(opens, n))
+        return _from_masks(n, carrier, set(_collect_masks(opens, n)))
 
     def contains(self, s: FinSet) -> bool:
         if s.universe_size != self.universe_size:
@@ -246,7 +246,8 @@ class ClassicalTopology(Value):
 
     @cached_property
     def open_masks(self) -> tuple[int, ...]:
-        return tuple(o.mask for o in self.opens)
+        """The masks of the opens; an open on another universe is refused."""
+        return tuple(_collect_masks(self.opens, self.universe_size))
 
     @cached_property
     def _mask_set(self) -> frozenset[int]:
@@ -280,9 +281,13 @@ class ClassicalTopology(Value):
         return out
 
 
-def _canonical_opens(opens: Iterable[FinSet], n: int) -> tuple[FinSet, ...]:
-    masks = sorted(set(_collect_masks(opens, n)))
-    return tuple(FinSet(n, m) for m in masks)
+def _from_masks(n: int, carrier: FinSet, masks: set[int]) -> ClassicalTopology:
+    """The topology on the carrier whose opens are the masks, taken
+    ascending as FinSets, unchecked; its `open_masks` are set at birth."""
+    ordered = tuple(sorted(masks))
+    topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in ordered))
+    topo.__dict__["open_masks"] = ordered
+    return topo
 
 
 def generate_topology(
@@ -305,7 +310,7 @@ def generate_topology(
     opens = {0}
     for u in {u for at_x in least for u in at_x}:
         opens |= {o | u for o in opens}
-    topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(opens)))
+    topo = _from_masks(n, carrier, opens)
     topo.__dict__["minimal_members"] = least
     return topo
 
@@ -340,9 +345,7 @@ def enumerate_topologies(
         masks = {0, carrier.mask}
         masks.update(m for i, m in enumerate(middles) if choice >> i & 1)
         if is_topology_masks(masks, carrier.mask):
-            found.append(
-                ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(masks)))
-            )
+            found.append(_from_masks(n, carrier, masks))
     return found
 
 

@@ -424,17 +424,17 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         )
     )
 
-    # The enlargement row: the enlargement contains the original, has the
-    # same component topologies and so induces the same family, since the
-    # induced family reads only the component topologies.  The enlargement
-    # keeps tau's components, so its sections are read from its opens; and
-    # it must be their whole product, as many opens as choices of sections.
+    # The enlargement row: the enlargement contains the original (a
+    # canonical tau is its own), has the same component topologies and so
+    # induces the same family, since the induced family reads only the
+    # component topologies.  It keeps tau's components, so its sections are
+    # read from its opens; and it must be their whole product.
     n = space.soft_set.universe_size
     block = (1 << n) - 1
     enlargement_ok = True
     for tau in (space.tau1, space.tau2):
         can = canonical_enlargement(tau)
-        if not can.flat_open_set.issuperset(tau.flat_opens):
+        if can is not tau and not can.flat_open_set.issuperset(tau.flat_opens):
             enlargement_ok = False
         if len(can) != prod(len(sigma.opens) for sigma in tau.components):
             enlargement_ok = False

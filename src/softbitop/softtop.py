@@ -12,7 +12,7 @@ from math import prod
 from operator import lt
 
 from .errors import CapacityError, InputError
-from .finsets import ClassicalTopology, FinSet, Value, _least, bits
+from .finsets import ClassicalTopology, FinSet, Value, _from_masks, _least, bits
 from .finsets import generate_topology, is_topology_masks
 from .softsets import (
     ElementSpace,
@@ -140,9 +140,9 @@ class SoftTopology(Value):
         return True
 
     def _is_product(self) -> bool:
-        """The topology is canonical: it lies inside its enlargement, which
-        has one open per choice of component opens, so it equals it iff it
-        has that many opens."""
+        """The topology is canonical (`is_canonical`): it lies inside its
+        enlargement, which has one open per choice of component opens, so
+        it equals it iff it has that many opens."""
         return len(self) == prod(len(sigma.opens) for sigma in self.components)
 
     @cached_property
@@ -194,9 +194,15 @@ class SoftTopology(Value):
             object.__setattr__(self, "_components", built)
             return built
 
-    @cached_property
+    @property
     def enlargement(self) -> "SoftTopology":
-        """The canonical topology built from the component topologies."""
+        """The canonical topology on the component topologies: the topology
+        itself if canonical (`_is_product`), not cached, so that it holds
+        no reference to itself; else built on first read."""
+        return self if self._is_product() else self._enlarged
+
+    @cached_property
+    def _enlarged(self) -> "SoftTopology":
         return canonical_topology(self.ambient, self.components)
 
     @cached_property
@@ -227,11 +233,10 @@ def _build_component(tau: SoftTopology, t: int) -> ClassicalTopology:
     carrier = tau.ambient.section(t)
     n = tau.ambient.universe_size
     sections = {f >> t * n & (1 << n) - 1 for f in tau.flat_opens}
-    topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in sorted(sections)))
     # Sectioning a soft topology always yields a topology; anything else
     # is a bug upstream.
     assert is_topology_masks(sections, carrier.mask)
-    return topo
+    return _from_masks(n, carrier, sections)
 
 
 def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
@@ -240,27 +245,21 @@ def component_topology(tau: SoftTopology, t: int) -> ClassicalTopology:
     return tau.components[t]
 
 
-def _ascending(sigma: ClassicalTopology) -> ClassicalTopology:
-    """sigma, or, if its opens do not strictly ascend, sigma in the form a
-    component built from the opens takes: distinct opens, ascending."""
-    m = sigma.open_masks
-    if all(map(lt, m, islice(m, 1, None))):
-        return sigma
-    n = sigma.universe_size
-    return ClassicalTopology(n, sigma.carrier, tuple(FinSet(n, x) for x in sorted(set(m))))
-
-
 def _checked_component(
     ambient: SoftSet, t: int, sigma: ClassicalTopology
 ) -> ClassicalTopology:
     """sigma as the component at t of a canonical topology on the ambient:
-    it must live on the t-section, and it is taken `_ascending`."""
-    n = ambient.universe_size
-    if sigma.universe_size != n or any(o.universe_size != n for o in sigma.opens):
+    it must live on the t-section, its opens on the ambient's universe
+    (read by `ClassicalTopology.open_masks`), and it is taken with its
+    opens distinct and ascending, as a component built from opens is."""
+    if sigma.universe_size != ambient.universe_size:
         raise InputError("component topology universe mismatch")
     if sigma.carrier != ambient.section(t):
         raise InputError(f"component topology at {t} must live on the section")
-    return _ascending(sigma)
+    m = sigma.open_masks
+    if all(map(lt, m, islice(m, 1, None))):
+        return sigma
+    return _from_masks(sigma.universe_size, sigma.carrier, set(m))
 
 
 def _product_topology(
@@ -296,12 +295,8 @@ def canonical_enlargement(tau: SoftTopology) -> SoftTopology:
 
 
 def is_canonical(tau: SoftTopology) -> bool:
-    """tau equals its enlargement iff each U(c) lies in the section of c:
-    the enlargement's least open around (t, x) is the t-section of U(t, x)
-    alone, and both are fixed by their least opens."""
-    n = tau.ambient.universe_size
-    block = (1 << n) - 1
-    return not any(u & ~(block << c // n * n) for c, u in enumerate(tau.least_cells))
+    """tau equals its enlargement (`SoftTopology._is_product`)."""
+    return tau._is_product()
 
 
 # A subset table holds one cell per subset S of the soft elements, an

@@ -4,19 +4,20 @@ The closure checks and the generator at the top are the original ones of
 `softbitop.finsets` and `softbitop.softtop`, unchanged: `is_topology`,
 `_closed_masks` and `is_soft_topology` test every pair of members,
 `generate_topology` closes its subbase under unions and intersections to
-a fixed point, and `is_canonical` compares a soft topology with its built
-enlargement.  The library decides closure from the least neighbourhoods
-U(x) (`finsets.is_topology_masks`) and generates as unions of the U(x).
+a fixed point, and `is_canonical` compares a soft topology with the
+canonical topology built on its components.  The library decides
+closure from the least neighbourhoods U(x) (`finsets.is_topology_masks`)
+and generates as unions of the U(x).
 
-`least_opens`, `holders`, `least_cells` and `is_canonical_by_count`
+`least_opens`, `holders`, `least_cells` and `is_canonical_by_cells`
 are the former readings of a soft topology from its full list of opens:
 N(a) as the AND of the opens around a, holders[c] as the complement of
 the soft elements inside the largest open missing c, U(c) as the AND of
-the opens around c, and canonicity as |tau| equal to the product of the
-component sizes.  The library reads the first two and canonicity from
-one table of least cell neighbourhoods, `SoftTopology.least_cells`, and
-a canonical topology builds that table from the least opens of the
-components it keeps.
+the opens around c, and canonicity as every U(c) lying in the section
+block of c.  The library reads the least opens from one table of least
+cell neighbourhoods, `SoftTopology.least_cells`, which a canonical
+topology builds from the least opens of the components it keeps, and
+canonicity as |tau| equal to the product of the component sizes.
 
 The pairwise deciders are the original ones of `softbitop.finsets` and
 `softbitop.pairwise`, unchanged: each scans every pair of opens for every
@@ -81,7 +82,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain, combinations, product
-from math import prod
 from operator import and_, or_
 from typing import Iterable, Optional, Sequence
 
@@ -226,7 +226,7 @@ def is_soft_topology(opens: Iterable[SoftSet], ambient: SoftSet) -> bool:
 
 
 def is_canonical(tau: SoftTopology) -> bool:
-    return tau.opens == tau.enlargement.opens
+    return tau.opens == canonical_topology(tau.ambient, tau.components).opens
 
 
 def least_opens(tau: SoftTopology) -> tuple[int, ...]:
@@ -263,10 +263,15 @@ def least_cells(tau: SoftTopology) -> tuple[int, ...]:
     )
 
 
-def is_canonical_by_count(tau: SoftTopology) -> bool:
-    """tau lies inside its enlargement, so both are equal iff they have as
-    many opens, the product of the sizes of the component topologies."""
-    return len(tau) == prod(len(c.opens) for c in tau.components)
+def is_canonical_by_cells(tau: SoftTopology) -> bool:
+    """tau equals its enlargement iff each U(c) (`least_cells`, scanned
+    over the opens) lies in the section block of c: the enlargement's
+    least open around (t, x) is the t-section of U(t, x) alone, and both
+    are fixed by their least opens."""
+    n = tau.ambient.universe_size
+    block = (1 << n) - 1
+    cells = enumerate(least_cells(tau))
+    return not any(u & ~(block << c // n * n) for c, u in cells)
 
 
 def canonical_family(opens: Iterable[SoftSet]) -> tuple[SoftSet, ...]:

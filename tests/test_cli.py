@@ -5,6 +5,7 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -524,6 +525,28 @@ def test_verify_decides_cover_and_reconstruction_rows_flat(monkeypatch):
     report = pairwise.verify_theorems(space)
     assert report.all_passed
     assert len(doc.tau1) == 1 << 16
+
+
+def test_verify_lists_the_opens_of_no_other_soft_topology(monkeypatch):
+    """On a canonical document, each topology is its own enlargement, and
+    the reconstructions list nothing: verify lists the flat opens of tau1
+    and tau2 alone."""
+    listing = SoftTopology.__dict__["flat_opens"]
+    listed = []
+
+    def recording(tau):
+        listed.append(tau)
+        return listing.func(tau)
+
+    recorder = cached_property(recording)
+    recorder.__set_name__(SoftTopology, "flat_opens")
+    monkeypatch.setattr(SoftTopology, "flat_opens", recorder)
+    doc = parse_space(json.loads(pathlib.Path(CANONICAL_DISCRETE).read_text()))
+    space = pairwise.SoftBitopSpace(doc.soft_set, doc.tau1, doc.tau2)
+    report = pairwise.verify_theorems(space)
+    row = "canonical-enlargement-contains-and-preserves"
+    assert [c.passed for c in report.checks if c.name == row] == [True]
+    assert listed and all(tau is doc.tau1 or tau is doc.tau2 for tau in listed)
 
 
 # ---------------------------------------------------------------- examples

@@ -21,13 +21,14 @@ with the test of every pair of members: exhaustively on 3- and 4-point
 carriers and on a 3-cell soft carrier, and with hypothesis beyond.
 `generate_topology` must give what the fixed-point closure gives, and
 keep as its minimal members the AND of the opens around each point.  The
-least opens and `is_canonical`, both read from the least cell
-neighbourhoods U(c), must give what the former readings of the full list
-of opens give, and `is_canonical` also what comparing with the built
-enlargement gives; the components a canonical topology keeps, and the
-least cells it reads from them, must equal those read from the opens,
-on the topology and on a pickled copy.  The flat canonical product must give
-the opens of the product of `SoftSet` objects sorted by key, and
+least opens, read from the least cell neighbourhoods U(c), and
+`is_canonical`, read from the count of opens, must give what the former
+readings of the full list of opens give, and `is_canonical` also what
+comparing with the built enlargement gives; the components a canonical
+topology keeps, and the least cells it reads from them, must equal those
+read from the opens, on the topology and on a pickled copy.  The flat
+canonical product must give the opens of the product of `SoftSet`
+objects sorted by key, and
 `SoftTopology.build` the family sorted by key.  `SoftTopology.opens`,
 the product of the component opens on a canonical topology, must give
 the column decode of the flat opens it replaced
@@ -1097,7 +1098,7 @@ def test_generate_topology_refuses_a_member_outside_the_carrier():
 
 def test_is_canonical_on_pools():
     """Every entry of the 2x2 and 3x1 pools and a seeded sample of 200
-    entries of the 3x2 pool: reading U(c) agrees with building the
+    entries of the 3x2 pool: the count of opens agrees with building the
     enlargement, and both verdicts occur."""
     rng = rng_for("oracle-equivalence-canonical")
     pool_3x2 = candidate_soft_topologies(3, 2)
@@ -1116,7 +1117,7 @@ def assert_least_tables_agree(tau):
     least cells against the readings of the full list of opens; the last
     two also on a pickled copy, which keeps no components."""
     assert tau.least_opens == oracles.least_opens(tau), tau.opens
-    assert is_canonical(tau) == oracles.is_canonical_by_count(tau), tau.opens
+    assert is_canonical(tau) == oracles.is_canonical_by_cells(tau), tau.opens
     p = tau.ambient.param_count
     components = tuple(oracles.component_topology(tau, t) for t in range(p))
     cells = oracles.least_cells(tau)
@@ -1130,9 +1131,9 @@ def assert_least_tables_agree(tau):
 def test_least_tables_on_pools():
     """Every entry of the 2x2, 3x1 and 2x3 pools, diagonal lifts included,
     and the seeded sample of 200 entries of the 3x2 pool of the test
-    above: the least opens and canonicity read from U(c), and the
-    components the canonical products keep, agree with the readings of
-    the full list of opens."""
+    above: the least opens read from U(c), canonicity read from the
+    count, and the components the canonical products keep, agree with
+    the readings of the full list of opens."""
     rng = rng_for("oracle-equivalence-canonical")
     shapes = ((2, 2), (3, 1), (2, 3))
     taus = [tau for shape in shapes for tau in candidate_soft_topologies(*shape)]

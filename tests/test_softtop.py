@@ -1,4 +1,5 @@
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -16,15 +17,18 @@ from softbitop import (
     check_finest_open_projections,
     component_topology,
     enumerate_topologies,
+    generate_topology,
     induced_topology,
     is_canonical,
     is_soft_topology,
     reconstruct,
     se_of_softset,
 )
+from softbitop import finsets
 from softbitop.pairwise import candidate_soft_topologies
 from softbitop.softsets import flat_soft_set
 from conftest import random_carrier, random_soft_topology, rng_for
+import oracles
 
 
 def indiscrete(n, carrier=None):
@@ -156,6 +160,32 @@ def test_canonical_topology_validates_carriers():
         canonical_topology(SoftSet.of([[0, 1]], 2), [odd])
 
 
+def test_generated_components_are_not_collected_again(monkeypatch):
+    """Components from `generate_topology` and `enumerate_topologies` are
+    born with their open masks, so neither `canonical_topology` nor
+    `reconstruct` on them reads the universe of an open again.  A
+    component through the raw constructor has its opens read once, by the
+    first reader of its masks, however often it is used."""
+    collect = finsets._collect_masks
+    collected = []
+
+    def recording(opens, n):
+        collected.append(opens)
+        return collect(opens, n)
+
+    sigmas = [generate_topology([FinSet(2, 0b01)], 2), enumerate_topologies(2)[0]]
+    raw = ClassicalTopology(2, FinSet.full(2), discrete(2).opens[::-1])
+    monkeypatch.setattr(finsets, "_collect_masks", recording)
+    tau = canonical_topology(SQUARE, sigmas)
+    rebuilt = reconstruct(tau.induced)
+    assert rebuilt.contained and rebuilt.soft_topology == tau
+    components = (*sigmas, *rebuilt.sigmas)
+    assert not any(o is sigma.opens for o in collected for sigma in components)
+    for _ in range(2):
+        assert len(canonical_topology(SQUARE, [raw, raw])) == 16
+    assert sum(o is raw.opens for o in collected) == 1
+
+
 def test_canonical_topology_builds_no_soft_set_until_opens_are_read():
     ambient = SoftSet.of([range(8)] * 2, 8)
     tau = canonical_topology(ambient, [discrete(8), discrete(8)])
@@ -282,6 +312,25 @@ def test_canonical_enlargement_of_indiscrete():
     assert all(big.contains(h) for h in tau.opens)
     # enlarging is idempotent
     assert canonical_enlargement(big).opens == big.opens
+
+
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1), (2, 3)])
+def test_a_canonical_topology_is_its_own_enlargement(n, p):
+    """Every canonical pool entry, listed, unlisted and given by its opens
+    to `SoftTopology.build`, is its own enlargement; no other entry, nor
+    its form given by its opens, is.  Canonicity is read from the least
+    cells scanned over the opens (`oracles.is_canonical_by_cells`)."""
+    verdicts = Counter()
+    for entry in candidate_soft_topologies(n, p):
+        holds = oracles.is_canonical_by_cells(entry)
+        verdicts[holds] += 1
+        given = SoftTopology.build(entry.opens, entry.ambient)
+        for tau in (entry, given):
+            assert (canonical_enlargement(tau) is tau) == holds, entry.flat_opens
+        can = unlisted(entry)
+        assert canonical_enlargement(can) is can
+        assert "flat_opens" not in can.__dict__
+    assert verdicts[True] and (verdicts[False] or p == 1), verdicts
 
 
 def test_canonical_enlargement_preserves_components():
