@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property, reduce
-from operator import attrgetter, or_
+from operator import and_, attrgetter, or_
 
 from .errors import CapacityError, InputError, NotACoverError
 
@@ -283,8 +283,11 @@ class ClassicalTopology(Value):
 
 def _from_masks(n: int, carrier: FinSet, masks: set[int]) -> ClassicalTopology:
     """The topology on the carrier whose opens are the masks, taken
-    ascending as FinSets, unchecked; its `open_masks` are set at birth."""
+    ascending as FinSets, unchecked; its `open_masks` are set at birth.
+    The set is emptied once sorted, so its table is freed before the
+    FinSets are made."""
     ordered = tuple(sorted(masks))
+    masks.clear()
     topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in ordered))
     topo.__dict__["open_masks"] = ordered
     return topo
@@ -355,9 +358,9 @@ class BitopPair(Value):
     Each family is a validated `ClassicalTopology` or, for the pair a soft
     bitopological space induces, an `SEFamily` over soft-element indices,
     which is union-closed but not a topology in general.  The deciders
-    below read two things of each family and are exact for both kinds:
-    `minimal_members`, the inclusion-minimal members around each point,
-    and `inside(s)`, the union of the members inside the mask s.
+    below are exact for both kinds and read two things: `minimal_members`,
+    the inclusion-minimal members around each point, and, for T2 of the
+    second family, `inside(s)`, the union of the members inside the mask s.
     """
 
     first: ClassicalTopology | SEFamily
@@ -377,66 +380,64 @@ class BitopPair(Value):
     def carrier(self) -> FinSet:
         return self.first.carrier
 
-    @cached_property
-    def avoiding(self) -> tuple[dict[int, int], dict[int, int]]:
-        """For each family and each carrier point y, the points some member
-        avoiding y holds: inside(full - {y}).  Built once per pair and read
-        by both `pairwise_t0` and `pairwise_t1`."""
-        full = _full(self.universe_size)
-        pts = self.carrier.members()
-        return tuple(
-            {y: family.inside(full ^ 1 << y) for y in pts}
-            for family in (self.first, self.second)
-        )
-
 
 Witness = tuple[int, int] | None
 
 
-# Some member contains x and misses y iff x lies in the union of the
-# members inside the complement of {y}, inside(full - {y}); the complement
-# is taken in the whole universe, as members need not stay in the carrier.
-# Disjoint members H around x and K around y exist iff they exist with H
-# inclusion-minimal, since shrinking H keeps it disjoint from K; and then
-# iff y lies in inside(full - U) of the second family for some minimal U of
-# the first family at x.  Both arguments use only finiteness, so the
-# verdicts are exact for any finite families, not just topologies.  Points
-# are scanned in the same order as by a brute-force scan, so the least
-# witness is the same.  T0 and T1 read inside() once per point and family,
-# through the pair's one `avoiding` table, and T2 once per minimal member
-# of the first family, instead of scanning pairs of members.
+def _least_repeat(keys: Iterable) -> Witness:
+    """The least pair i < j, i-major, with keys[i] == keys[j], or None:
+    i is the least index whose key comes again, j the next index with
+    that key."""
+    first: dict = {}
+    pairs = [(first.setdefault(k, j), j) for j, k in enumerate(keys)]
+    return min((p for p in pairs if p[0] < p[1]), default=None)
+
+
+def _cores(family: ClassicalTopology | SEFamily, pts: tuple) -> dict[int, int]:
+    """core(x) for each point x of pts: the AND of the minimal members
+    around x, U(x) in a topology; every point if x lies in no member."""
+    full, mins = _full(family.universe_size), family.minimal_members
+    return {x: reduce(and_, mins[x], full) for x in pts}
+
+
+# Every member around x holds a minimal one, so some member holds x and
+# misses y iff y is not in core(x); and x, y are unseparated in a family
+# iff core(x) = core(y), as each point lies in its own core.  Disjoint
+# members H around x and K around y exist iff they exist with H minimal,
+# as shrinking H keeps it disjoint from K, and then iff y lies in
+# inside(full - U) of the second family for some minimal U at x, the
+# complement taken in the universe, as members need not stay in the
+# carrier.  Only finiteness is used, so the verdicts are exact for any
+# finite families.  Points are scanned as by a brute-force scan, so the
+# least witness is the same.
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
     """Distinct points are told apart by some open of either topology.
 
-    Decided as: x lies in inside(full - {y}) of either family, or y lies in
-    inside(full - {x}) of either family.  Exact for any finite families
-    (see above).  On failure the least unseparated pair (x, y), x < y, is
+    Decided as: x -> (core1(x), core2(x)) is injective on the carrier, the
+    rule of `pairwise_soft_t0`.  Exact for any finite families (see
+    above).  On failure the least unseparated pair (x, y), x < y, is
     returned.
     """
     pts = pair.carrier.members()
-    first, second = pair.avoiding
-    apart = {y: first[y] | second[y] for y in pts}
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            if not (apart[y] >> x & 1 or apart[x] >> y & 1):
-                return False, (x, y)
-    return True, None
+    first, second = (_cores(f, pts) for f in (pair.first, pair.second))
+    hit = _least_repeat(zip(first.values(), second.values()))
+    return (True, None) if hit is None else (False, (pts[hit[0]], pts[hit[1]]))
 
 
 def pairwise_t1(pair: BitopPair) -> tuple[bool, Witness]:
     """For every ordered (x, y): some first-open keeps x and drops y, and
     some second-open keeps y and drops x.
 
-    Decided as: x lies in inside(full - {y}) of the first family and y in
-    inside(full - {x}) of the second.  Exact for any finite families.
+    Decided as: y lies outside core1(x) and x outside core2(y).  Exact for
+    any finite families.
     """
     pts = pair.carrier.members()
-    first, second = pair.avoiding
+    first, second = (_cores(f, pts) for f in (pair.first, pair.second))
     for x in pts:
         for y in pts:
-            if x != y and not (first[y] >> x & 1 and second[x] >> y & 1):
+            if x != y and (first[x] >> y & 1 or second[y] >> x & 1):
                 return False, (x, y)
     return True, None
 

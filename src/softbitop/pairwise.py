@@ -15,6 +15,7 @@ from .finsets import (
     BitopPair,
     FinSet,
     Value,
+    _least_repeat,
     _min_cover,
     enumerate_topologies,
     pairwise_t0,
@@ -169,10 +170,7 @@ def pairwise_soft_t0(space: SoftBitopSpace) -> Verdict:
     """
     if _soft_t0(space.tau1, space.tau2):
         return Verdict(True)
-    first: dict[tuple[int, int], int] = {}
-    keys = zip(space.tau1.least_opens, space.tau2.least_opens)
-    pairs = [(first.setdefault(k, j), j) for j, k in enumerate(keys)]
-    pair = min(p for p in pairs if p[0] < p[1])
+    pair = _least_repeat(zip(space.tau1.least_opens, space.tau2.least_opens))
     return _unseparated(space, pair, "least unseparated pair")
 
 

@@ -12,9 +12,10 @@ bit per cell: cell t * universe_size + x stands for point x at parameter t.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import prod
+from operator import or_
 
 from .errors import CapacityError, InputError, NoSoftElementsError
 from .finsets import FinSet, Value, bits
@@ -276,9 +277,14 @@ class SESubset(Value):
             raise InputError("bitmask has bits beyond the soft-element list")
 
     def members(self) -> tuple[SoftElement, ...]:
-        return tuple(
-            e for i, e in enumerate(self.space.elements) if self.mask >> i & 1
-        )
+        return tuple(map(self.space.element, bits(self.mask)))
+
+    @property
+    def hull(self) -> int:
+        """The members' cells as a flat soft set: its t-section is the set
+        of t-th coordinates of the members."""
+        flat = self.space.flat_elements
+        return reduce(or_, map(flat.__getitem__, bits(self.mask)), 0)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -296,18 +302,13 @@ class SESubset(Value):
 
     def section(self, t: int) -> FinSet:
         """The set of t-th coordinates of the members."""
-        if not 0 <= t < self.space.soft_set.param_count:
-            raise InputError(f"parameter index {t} out of range")
-        m = 0
-        for i, e in enumerate(self.space.elements):
-            if self.mask >> i & 1:
-                m |= 1 << e[t]
-        return FinSet(self.space.soft_set.universe_size, m)
+        return self.sections().section(t)
 
     def sections(self) -> SoftSet:
-        return SoftSet(
-            tuple(self.section(t) for t in range(self.space.soft_set.param_count))
-        )
+        """The sections of the members, read from their `hull`."""
+        n, hull = self.space.soft_set.universe_size, self.hull
+        p = self.space.soft_set.param_count
+        return SoftSet(tuple(FinSet(n, hull >> t * n & (1 << n) - 1) for t in range(p)))
 
     def _check_same_space(self, other: "SESubset") -> None:
         if self.space != other.space:
@@ -336,10 +337,8 @@ def is_se_representable(k: SESubset) -> tuple[bool, SoftElement | None]:
         raise InputError(
             "the empty subset is not representable by nonempty sections"
         )
-    space, hull = k.space, 0
-    for i in bits(k.mask):
-        hull |= space.flat_elements[i]
-    extra = space.inside(hull) & ~k.mask
+    space = k.space
+    extra = space.inside(k.hull) & ~k.mask
     if extra == 0:
         return True, None
     return False, space.element((extra & -extra).bit_length() - 1)

@@ -298,22 +298,34 @@ def test_pairwise_implication_chain(n):
                 assert h0
 
 
-def test_t0_and_t1_read_inside_once_per_point_and_family(monkeypatch):
+def test_t0_and_t1_read_no_inside_and_t2_once_per_minimal_member(monkeypatch):
+    """T0 and T1 read the cores, from minimal members alone; T2 reads the
+    second family's inside() once per minimal member of the first."""
+    calls = []
+    for kind in (ClassicalTopology, SEFamily):
+        inside = kind.inside
+
+        def counting(self, s, inside=inside):
+            calls.append(self)
+            return inside(self, s)
+
+        monkeypatch.setattr(kind, "inside", counting)
     carrier = FinSet.of([0, 2, 3], 4)
     first = generate_topology([FinSet.of([0], 4)], 4, carrier=carrier)
     second = generate_topology([FinSet.of([2], 4)], 4, carrier=carrier)
-    calls = []
-    inside = ClassicalTopology.inside
-
-    def counting(self, s):
-        calls.append(self)
-        return inside(self, s)
-
-    monkeypatch.setattr(ClassicalTopology, "inside", counting)
     pair = BitopPair(first, second)
     assert pairwise_t0(pair) == (True, None)
     assert pairwise_t1(pair) == (False, (0, 3))
-    assert [calls.count(first), calls.count(second)] == [3, 3]
+    space = element_space_of_size(3)
+    # Each element lies in two minimal members, 6 in all; the cores are
+    # the singletons, so all three axioms hold against the discrete family.
+    first = SEFamily(space, (0b000, 0b011, 0b101, 0b110, 0b111))
+    second = SEFamily(space, tuple(range(8)))
+    pair = BitopPair(first, second)
+    assert pairwise_t0(pair) == pairwise_t1(pair) == (True, None)
+    assert calls == []
+    assert pairwise_t2(pair) == (True, None)
+    assert calls == [second] * 6
 
 
 @pytest.mark.parametrize("n", [2, 3])

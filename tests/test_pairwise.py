@@ -27,6 +27,7 @@ from softbitop import (
     pairwise_soft_t0,
     pairwise_soft_t1,
     pairwise_soft_t2,
+    pairwise_t0,
     pairwise_t1,
     pairwise_t2,
     search_counterexamples,
@@ -217,6 +218,22 @@ def test_soft_t0_and_t1_read_no_inside(monkeypatch):
         assert not decide(indiscrete_space()).holds
         assert decide(discrete_space()).holds
     assert len(search_counterexamples(2, 2).not_t0_but_induced_t2) == 11
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_component_t0_is_soft_t0_on_one_parameter(n):
+    """With one parameter the soft elements are the points as 1-tuples and
+    each least soft open is the component's U(x): T0 of the component pair
+    and soft T0 are one rule, with one least witness."""
+    pool = candidate_soft_topologies(n, 1)
+    ambient = pool[0].ambient
+    for tau1 in pool:
+        for tau2 in pool:
+            space = SoftBitopSpace(ambient, tau1, tau2)
+            holds, witness = pairwise_t0(component_bitop(space, 0))
+            lifted = witness and tuple((x,) for x in witness)
+            soft = pairwise_soft_t0(space)
+            assert (soft.holds, soft.witness) == (holds, lifted)
 
 
 def test_mixed_pair_soft_t0():

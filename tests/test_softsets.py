@@ -196,6 +196,20 @@ def test_subset_of_builds_no_element_list():
     assert "elements" not in vars(space)
 
 
+def test_subset_sections_and_members_build_no_element_list():
+    """2 points x 16 parameters, 65,536 soft elements: a subset's sections
+    are read from its hull and its members decoded by mixed radix, without
+    the element list."""
+    space = ElementSpace(SoftSet.of([range(2)] * 16, 2))
+    last = (0,) * 15 + (1,)
+    k = space.subset_of([(0,) * 16, last])
+    assert k.members() == ((0,) * 16, last)
+    assert k.sections() == SoftSet.of([[0]] * 15 + [[0, 1]], 2)
+    assert [k.section(t).members() for t in (0, 15)] == [(0,), (0, 1)]
+    assert is_se_representable(k) == (True, None)
+    assert "elements" not in vars(space)
+
+
 def test_flat_sections_guard_refuses_before_allocating():
     # 3 * 8 = 24 soft elements, past the guard of 20
     space = ElementSpace(SoftSet.of([range(3), range(8)], 8))
