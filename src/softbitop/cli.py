@@ -40,35 +40,6 @@ class SpaceDescription(Value):
     tau2: SoftTopology
     representability: tuple[tuple[str, ...], ...] | None = None
 
-    def to_doc(self) -> dict:
-        """Canonical JSON form; parsing it back yields an equal value."""
-        doc = {
-            "universe": list(self.universe),
-            "params": list(self.params),
-            "sections": {
-                p: [self.universe[i] for i in self.soft_set.section(t).members()]
-                for t, p in enumerate(self.params)
-            },
-            "topologies": [
-                self._topology_doc(self.tau1),
-                self._topology_doc(self.tau2),
-            ],
-        }
-        if self.representability is not None:
-            doc["representability"] = [list(e) for e in self.representability]
-        return doc
-
-    def _topology_doc(self, tau: SoftTopology) -> dict:
-        return {
-            "opens": [
-                {
-                    p: [self.universe[i] for i in h.section(t).members()]
-                    for t, p in enumerate(self.params)
-                }
-                for h in tau.opens
-            ]
-        }
-
 
 def _need(doc: dict, key: str, where: str = "document"):
     if not isinstance(doc, dict):

@@ -214,13 +214,28 @@ def is_topology(
 
 
 class ClassicalTopology(Value):
-    """A finite topology on a carrier set, opens deduplicated and sorted."""
+    """A finite topology on a carrier set, opens deduplicated and sorted.
+
+    One made from FinSets holds them as its field `opens`.  One the
+    package builds (`_from_masks`) holds only its ascending `open_masks`
+    and makes `opens` from them on first read; equality, hashing, `repr`
+    and pickles are by the fields, so they make them."""
 
     universe_size: int
     carrier: FinSet
+    # A field with a default: the property below, which makes the opens
+    # of a topology built from its masks.
     opens: tuple[FinSet, ...]
 
+    @cached_property
+    def opens(self) -> tuple[FinSet, ...]:
+        """The opens as FinSets, made from `open_masks` on first read."""
+        n = self.universe_size
+        return tuple(FinSet(n, m) for m in self.__dict__["open_masks"])
+
     def __post_init__(self) -> None:
+        if not {"opens", "open_masks"} & self.__dict__.keys():
+            raise TypeError("a classical topology needs its opens or its masks")
         if self.carrier.universe_size != self.universe_size:
             raise InputError("carrier universe size mismatch")
 
@@ -282,14 +297,12 @@ class ClassicalTopology(Value):
 
 
 def _from_masks(n: int, carrier: FinSet, masks: set[int]) -> ClassicalTopology:
-    """The topology on the carrier whose opens are the masks, taken
-    ascending as FinSets, unchecked; its `open_masks` are set at birth.
-    The set is emptied once sorted, so its table is freed before the
-    FinSets are made."""
+    """The topology on the carrier whose opens are the masks, unchecked,
+    held as its ascending `open_masks` alone."""
+    topo = ClassicalTopology.__new__(ClassicalTopology)
     ordered = tuple(sorted(masks))
-    masks.clear()
-    topo = ClassicalTopology(n, carrier, tuple(FinSet(n, m) for m in ordered))
-    topo.__dict__["open_masks"] = ordered
+    topo.__dict__.update(universe_size=n, carrier=carrier, open_masks=ordered)
+    topo.__post_init__()
     return topo
 
 

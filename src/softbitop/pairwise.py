@@ -434,7 +434,7 @@ def verify_theorems(space: SoftBitopSpace) -> TheoremReport:
         can = canonical_enlargement(tau)
         if can is not tau and not can.flat_open_set.issuperset(tau.flat_opens):
             enlargement_ok = False
-        if len(can) != prod(len(sigma.opens) for sigma in tau.components):
+        if len(can) != prod(len(sigma.open_masks) for sigma in tau.components):
             enlargement_ok = False
         for t, sigma in enumerate(tau.components):
             if {f >> t * n & block for f in can.flat_opens} != set(sigma.open_masks):
@@ -561,7 +561,7 @@ def search_counterexamples(max_universe: int, max_params: int) -> SearchResult:
             pool = candidate_soft_topologies(n, p)
             for idx, tau in enumerate(pool):
                 if not is_canonical(tau):
-                    enlarged = prod(len(c.opens) for c in tau.components)
+                    enlarged = prod(len(c.open_masks) for c in tau.components)
                     class_ii.append(
                         {
                             "universe_size": n,

@@ -143,7 +143,7 @@ class SoftTopology(Value):
         """The topology is canonical (`is_canonical`): it lies inside its
         enlargement, which has one open per choice of component opens, so
         it equals it iff it has that many opens."""
-        return len(self) == prod(len(sigma.opens) for sigma in self.components)
+        return len(self) == prod(len(sigma.open_masks) for sigma in self.components)
 
     @cached_property
     def least_cells(self) -> tuple[int, ...]:
@@ -216,7 +216,7 @@ class SoftTopology(Value):
         component opens."""
         if "flat_opens" in self.__dict__:
             return len(self.flat_opens)
-        return prod(len(sigma.opens) for sigma in self.components)
+        return prod(len(sigma.open_masks) for sigma in self.components)
 
 
 def check_product_guard(count: int) -> None:

@@ -1,10 +1,16 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import element_space_of_size
+from conftest import (
+    element_space_of_size,
+    random_carrier,
+    random_soft_topology,
+    rng_for,
+)
 from softbitop import (
     BitopPair,
     CapacityError,
@@ -13,14 +19,18 @@ from softbitop import (
     InputError,
     NotACoverError,
     SEFamily,
+    SoftSet,
+    canonical_topology,
     enumerate_topologies,
     generate_topology,
+    induced_topology,
     is_topology,
     minimal_subcover,
     minimal_subcover_indices,
     pairwise_t0,
     pairwise_t1,
     pairwise_t2,
+    reconstruct,
 )
 from softbitop.finsets import _min_cover
 
@@ -211,6 +221,87 @@ def test_enumerate_topologies_deterministic():
     a = [t.open_masks for t in enumerate_topologies(3)]
     b = [t.open_masks for t in enumerate_topologies(3)]
     assert a == b
+
+
+# ---------------------------------------------------------------- stored form
+
+
+def assert_masks_alone_match_their_twin(topo):
+    """A topology the package builds holds its ascending open masks alone.
+    Its opens, made on first read, are one FinSet per mask, and it equals,
+    hashes, prints and pickles as its twin made from those FinSets through
+    the public constructor."""
+    assert "opens" not in vars(topo)
+    n, masks = topo.universe_size, topo.open_masks
+    assert list(masks) == sorted(set(masks))
+    opens = tuple(FinSet(n, m) for m in masks)
+    twin = ClassicalTopology(n, topo.carrier, opens)
+    assert topo.opens == opens
+    assert topo == twin and twin == topo and hash(topo) == hash(twin)
+    assert repr(topo) == repr(twin)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(topo, protocol))
+        assert again == twin and hash(again) == hash(twin)
+        assert repr(again) == repr(twin)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerated_topologies_hold_their_masks_alone(n):
+    for topo in enumerate_topologies(n):
+        assert_masks_alone_match_their_twin(topo)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=1, max_value=(1 << n) - 1),
+            st.lists(st.integers(min_value=0, max_value=(1 << n) - 1), max_size=4),
+        )
+    )
+)
+def test_generated_topologies_hold_their_masks_alone(drawn):
+    n, carrier, masks = drawn
+    subbase = [FinSet(n, m & carrier) for m in masks]
+    assert_masks_alone_match_their_twin(
+        generate_topology(subbase, n, FinSet(n, carrier))
+    )
+
+
+def test_built_topologies_hold_their_masks_alone():
+    for sigma in enumerate_topologies(3):
+        shuffled = [*sigma.opens[1::2], *sigma.opens[::2], sigma.opens[0]]
+        assert_masks_alone_match_their_twin(ClassicalTopology.build(shuffled, 3))
+
+
+def test_soft_components_and_reconstructions_hold_their_masks_alone():
+    """The components of a soft topology built from its opens, and the
+    sigmas `reconstruct` generates from the family it induces."""
+    rng = rng_for("components-hold-their-masks")
+    for _ in range(40):
+        tau = random_soft_topology(rng, random_carrier(rng))
+        for sigma in tau.components:
+            assert_masks_alone_match_their_twin(sigma)
+        for sigma in reconstruct(induced_topology(tau)).sigmas:
+            assert_masks_alone_match_their_twin(sigma)
+
+
+def test_canonical_components_out_of_order_are_resorted_to_their_masks():
+    ambient = SoftSet.of([range(3)] * 2, 3)
+    for sigma in enumerate_topologies(3):
+        descending = ClassicalTopology(3, sigma.carrier, sigma.opens[::-1])
+        resorted = canonical_topology(ambient, [descending, sigma]).components[0]
+        assert resorted is not descending
+        assert_masks_alone_match_their_twin(resorted)
+
+
+def test_a_topology_needs_its_opens_or_its_masks():
+    whole = FinSet.full(2)
+    with pytest.raises(TypeError, match="needs its opens or its masks"):
+        ClassicalTopology(2, whole)
+    with pytest.raises(TypeError, match="needs its opens or its masks"):
+        ClassicalTopology(universe_size=2, carrier=whole)
 
 
 # ---------------------------------------------------------------- pairwise axioms

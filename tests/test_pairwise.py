@@ -589,6 +589,51 @@ def test_search_finds_both_classes():
         ] != [[[], []], [[0, 1], [0, 1]]]
 
 
+def test_search_at_3x2_reads_the_canonical_t0_theorem():
+    """Class (i) at n = 3, p = 2 holds every pair of the pool that is not
+    soft T0 (98,065), as the induced verdicts of that shape all hold.  A
+    canonical pair is soft T0 iff each component pair is pairwise T0, so
+    the pairs of class (i) whose two entries are canonical (by
+    `oracles.is_canonical_by_cells`) are exactly the ordered pairs of
+    canonical products with some component pair that `oracles.pairwise_t0`
+    finds not T0: 841^2 - 795^2, as 795 of the 841 pairs of 3-point
+    topologies are T0."""
+    found = [
+        (e["tau1_index"], e["tau2_index"])
+        for e in search_counterexamples(3, 2).not_t0_but_induced_t2
+        if (e["universe_size"], e["param_count"]) == (3, 2)
+    ]
+    assert len(found) == 98_065
+    pool = candidate_soft_topologies(3, 2)
+    topos = enumerate_topologies(3)
+    t0 = {
+        (a, b)
+        for (a, sa), (b, sb) in itertools.product(enumerate(topos), repeat=2)
+        if oracles.pairwise_t0(BitopPair(sa, sb))[0]
+    }
+    assert len(topos) ** 2 == 841 and len(t0) == 795
+    # Each canonical entry as its pair of components, indices into topos,
+    # read from the sections of its opens.
+    index = {frozenset(sigma.open_masks): k for k, sigma in enumerate(topos)}
+    components = {
+        i: tuple(
+            index[frozenset(oracles.component_topology(tau, t).open_masks)]
+            for t in range(2)
+        )
+        for i, tau in enumerate(pool)
+        if oracles.is_canonical_by_cells(tau)
+    }
+    assert sorted(components.values()) == list(itertools.product(range(29), repeat=2))
+    want = {
+        (i, j)
+        for i, ci in components.items()
+        for j, cj in components.items()
+        if not all(pair in t0 for pair in zip(ci, cj))
+    }
+    assert len(want) == 841**2 - 795**2 == 75_256
+    assert {(i, j) for i, j in found if i in components and j in components} == want
+
+
 def test_search_deterministic():
     a = search_counterexamples(2, 2)
     b = search_counterexamples(2, 2)
