@@ -393,6 +393,18 @@ class BitopPair(Value):
     def carrier(self) -> FinSet:
         return self.first.carrier
 
+    @cached_property
+    def _cores(self) -> tuple[dict[int, int], dict[int, int]]:
+        """core(x) in the first and in the second family for each carrier
+        point x, ascending: the AND of the minimal members around x, U(x)
+        in a topology; every point if x lies in no member.  Built once per
+        pair, for T0 and T1 alike."""
+        pts, full = self.carrier.members(), _full(self.universe_size)
+        return tuple(
+            {x: reduce(and_, mins[x], full) for x in pts}
+            for mins in (self.first.minimal_members, self.second.minimal_members)
+        )
+
 
 Witness = tuple[int, int] | None
 
@@ -404,13 +416,6 @@ def _least_repeat(keys: Iterable) -> Witness:
     first: dict = {}
     pairs = [(first.setdefault(k, j), j) for j, k in enumerate(keys)]
     return min((p for p in pairs if p[0] < p[1]), default=None)
-
-
-def _cores(family: ClassicalTopology | SEFamily, pts: tuple) -> dict[int, int]:
-    """core(x) for each point x of pts: the AND of the minimal members
-    around x, U(x) in a topology; every point if x lies in no member."""
-    full, mins = _full(family.universe_size), family.minimal_members
-    return {x: reduce(and_, mins[x], full) for x in pts}
 
 
 # Every member around x holds a minimal one, so some member holds x and
@@ -433,10 +438,12 @@ def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
     above).  On failure the least unseparated pair (x, y), x < y, is
     returned.
     """
-    pts = pair.carrier.members()
-    first, second = (_cores(f, pts) for f in (pair.first, pair.second))
+    first, second = pair._cores
     hit = _least_repeat(zip(first.values(), second.values()))
-    return (True, None) if hit is None else (False, (pts[hit[0]], pts[hit[1]]))
+    if hit is None:
+        return True, None
+    pts = tuple(first)
+    return False, (pts[hit[0]], pts[hit[1]])
 
 
 def pairwise_t1(pair: BitopPair) -> tuple[bool, Witness]:
@@ -446,10 +453,9 @@ def pairwise_t1(pair: BitopPair) -> tuple[bool, Witness]:
     Decided as: y lies outside core1(x) and x outside core2(y).  Exact for
     any finite families.
     """
-    pts = pair.carrier.members()
-    first, second = (_cores(f, pts) for f in (pair.first, pair.second))
-    for x in pts:
-        for y in pts:
+    first, second = pair._cores
+    for x in first:
+        for y in first:
             if x != y and (first[x] >> y & 1 or second[y] >> x & 1):
                 return False, (x, y)
     return True, None
@@ -478,29 +484,58 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
 
 def _min_cover(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
     """The least subfamily (by size, then lexicographically by index) whose
-    masks cover target, or None.  Each size is searched depth first in index
-    order, so the first hit is the one `combinations` order gives.  A branch
-    stops when the members from i on (suffix[i]) cannot cover what is left;
-    a member adding no uncovered point is skipped, as no least cover has one.
+    masks cover target, or None.  Sizes 0 and 1 are one scan, which
+    builds no table; each larger size is searched depth first in index
+    order, so the first hit is the one `combinations` order gives.  A
+    branch stops when the members from i on (suffix[i]) cannot cover what
+    is left, or when what is left holds more points that no member from i
+    on holds two of than there are members left to choose (the bound
+    below); a member adding no uncovered point is skipped, as no least
+    cover has one.
     """
+    if not target:
+        return ()
     n = len(masks)
+    for i in range(n):
+        if not target & ~masks[i]:
+            return (i,)
     suffix = [0] * (n + 1)
     for i in reversed(range(n)):
         suffix[i] = suffix[i + 1] | masks[i] & target
+    if target & ~suffix[0]:
+        return None
+    # reach[i][e]: the OR of the members from i on that hold the point e.
+    # Built only now, as a cover of one member needs none: taking the
+    # lowest point e left, counting it and dropping reach[i][e] until
+    # nothing is left counts points of which no member from i on holds
+    # two, so each needs a member of its own.  A count past the members
+    # left means no cover from i on, nor from any later start.
+    reach = [[0] * target.bit_length()]
+    for i in reversed(range(n)):
+        row = reach[-1].copy()
+        m = masks[i] & target
+        for e in bits(m):
+            row[e] |= m
+        reach.append(row)
+    reach.reverse()
 
     def search(start: int, left: int, uncovered: int) -> tuple[int, ...] | None:
         if not uncovered:
             return ()
+        row, count, apart = reach[start], 0, uncovered
+        while apart:
+            count += 1
+            if count > left:
+                return None
+            apart &= ~row[(apart & -apart).bit_length() - 1]
         if left == 1:
             # A leaf: the first member from start on that covers the rest.
-            if uncovered & ~suffix[start]:
-                return None
             for i in range(start, n):
                 if not uncovered & ~masks[i]:
                     return (i,)
             return None
         for i in range(start, n - left + 1):
-            if not left or uncovered & ~suffix[i]:
+            if uncovered & ~suffix[i]:
                 return None
             if masks[i] & uncovered:
                 rest = search(i + 1, left - 1, uncovered & ~masks[i])
@@ -509,14 +544,14 @@ def _min_cover(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
         return None
 
     try:
-        for k in range(n + 1):
+        for k in range(2, n + 1):
             hit = search(0, k, target)
             if hit is not None:
                 return hit
-        return None
+        raise AssertionError("unreachable: the whole family covers")
     finally:
         # search refers to itself through its closure cell: clearing the
-        # cell lets refcounting free it, masks and suffix on return.
+        # cell lets refcounting free it, masks and the tables on return.
         del search
 
 

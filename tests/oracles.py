@@ -32,7 +32,11 @@ The three minimum-subcover searches are likewise the original ones,
 unchanged: each tries every subfamily through `itertools.combinations`,
 smallest first.  The library runs all three through one pruned kernel;
 the same test module checks that both give the same subcover, or fail
-the same way.
+the same way.  `min_cover_by_index_dfs` is the former kernel
+`finsets._min_cover`, unchanged: a depth-first search per size in index
+order whose only prune is the OR of the members still available.  The
+library's kernel also stops a branch at a lower bound, the number of
+points left of which no available member holds two.
 
 `canonical_opens` is the former canonical product of `softbitop.softtop`:
 one `SoftSet` per element of the product of the component opens, then
@@ -516,6 +520,50 @@ def minimal_subcover_indices(
             if target.mask & ~_union_of(cover, combo) == 0:
                 return combo
     raise AssertionError("unreachable: full cover always works")
+
+
+def min_cover_by_index_dfs(masks: Sequence[int], target: int) -> tuple[int, ...] | None:
+    """The least subfamily (by size, then lexicographically by index) whose
+    masks cover target, or None.  Each size is searched depth first in index
+    order, so the first hit is the one `combinations` order gives.  A branch
+    stops when the members from i on (suffix[i]) cannot cover what is left;
+    a member adding no uncovered point is skipped, as no least cover has one.
+    """
+    n = len(masks)
+    suffix = [0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] | masks[i] & target
+
+    def search(start: int, left: int, uncovered: int) -> tuple[int, ...] | None:
+        if not uncovered:
+            return ()
+        if left == 1:
+            # A leaf: the first member from start on that covers the rest.
+            if uncovered & ~suffix[start]:
+                return None
+            for i in range(start, n):
+                if not uncovered & ~masks[i]:
+                    return (i,)
+            return None
+        for i in range(start, n - left + 1):
+            if not left or uncovered & ~suffix[i]:
+                return None
+            if masks[i] & uncovered:
+                rest = search(i + 1, left - 1, uncovered & ~masks[i])
+                if rest is not None:
+                    return (i, *rest)
+        return None
+
+    try:
+        for k in range(n + 1):
+            hit = search(0, k, target)
+            if hit is not None:
+                return hit
+        return None
+    finally:
+        # search refers to itself through its closure cell: clearing the
+        # cell lets refcounting free it, masks and suffix on return.
+        del search
 
 
 def _union_of(cover: Sequence[FinSet], indices: Iterable[int]) -> int:

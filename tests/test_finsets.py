@@ -1,5 +1,6 @@
 import itertools
 import pickle
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -484,9 +485,9 @@ def test_min_cover_on_every_family_of_five_masks_over_three_points():
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=8).flatmap(
+    st.integers(min_value=1, max_value=10).flatmap(
         lambda n: st.tuples(
-            st.lists(st.integers(0, (1 << n) - 1), max_size=12),
+            st.lists(st.integers(0, (1 << n) - 1), max_size=16),
             st.integers(0, (1 << n) - 1),
         )
     )
@@ -494,3 +495,31 @@ def test_min_cover_on_every_family_of_five_masks_over_three_points():
 def test_min_cover_on_arbitrary_families(instance):
     masks, target = instance
     assert _min_cover(masks, target) == min_cover_by_combinations(masks, target)
+
+
+class CountedReads(Sequence):
+    """A sequence of masks that counts the items read from it."""
+
+    def __init__(self, masks):
+        self.masks, self.reads = masks, 0
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.masks[i]
+
+
+def test_min_cover_of_one_member_builds_no_bound_table():
+    """verify's subcover row: every subset of the points, ascending, so the
+    one member that covers alone sorts last.  The kernel reads each member
+    once, in the scan of size one, and builds neither the suffix ORs nor
+    the table for the bound, which would read each again.  A family that
+    needs two members builds both."""
+    family = CountedReads(range(1 << 16))
+    assert _min_cover(family, (1 << 16) - 1) == ((1 << 16) - 1,)
+    assert family.reads == len(family)
+    family = CountedReads(range((1 << 10) - 1))
+    assert _min_cover(family, (1 << 10) - 1) == (1, (1 << 10) - 2)
+    assert family.reads > 3 * len(family)

@@ -58,8 +58,10 @@ from __future__ import annotations
 import json
 import pickle
 from collections import Counter
+from functools import reduce
 from itertools import chain, combinations_with_replacement, product
 from math import prod
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -114,7 +116,7 @@ from softbitop import (
     verify_theorems,
 )
 from softbitop.cli import parse_space
-from softbitop.finsets import is_topology_masks
+from softbitop.finsets import _min_cover, bits, is_topology_masks
 from softbitop.pairwise import candidate_soft_topologies
 from softbitop.softsets import flat_soft_set
 
@@ -446,6 +448,56 @@ def test_minimal_subcover_on_arbitrary_families(instance):
     assert_subcover_agree(
         minimal_subcover_indices, oracles.minimal_subcover_indices, *instance
     )
+
+
+def _sample_mask(rng, mask, lo, hi):
+    """A subset of mask with between lo and hi of its points."""
+    points = list(bits(mask))
+    out = 0
+    for x in rng.sample(points, rng.randint(lo, min(hi, len(points)))):
+        out |= 1 << x
+    return out
+
+
+def _covering_family(rng, full, count, lo, hi):
+    """count masks of lo to hi points of full, then masks of 1 to hi of the
+    points still missed until every point of full is held."""
+    family = [_sample_mask(rng, full, lo, hi) for _ in range(count)]
+    union = reduce(or_, family, 0)
+    while union != full:
+        family.append(_sample_mask(rng, full & ~union, 1, hi))
+        union |= family[-1]
+    return family
+
+
+def test_min_cover_on_the_benchmark_shapes():
+    """The kernel against the former kernel, which prunes by suffix ORs
+    alone, on the cover-kernel workload's shapes: set covers of 12-16
+    points by 20-24 members of 2-3 points, and soft covers of 6-8 points
+    by 2 parameters, flattened, each section by members of 0-2 points.
+    Each family is cut against the whole universe and against a random
+    subset of it, so covers of every size from 1 to 9 are searched."""
+    rng = rng_for("min_cover_benchmark_shapes")
+    instances = []
+    for _ in range(150):
+        n = rng.randint(12, 16)
+        full = (1 << n) - 1
+        instances.append((_covering_family(rng, full, rng.randint(20, 24), 2, 3), full))
+    for _ in range(150):
+        n = rng.randint(6, 8)
+        full = (1 << n) - 1
+        count = rng.randint(14, 18)
+        sections = [_covering_family(rng, full, count, 0, 2) for _ in range(2)]
+        size = max(map(len, sections))
+        first, second = (s + [0] * (size - len(s)) for s in sections)
+        instances.append(([a | b << n for a, b in zip(first, second)], full | full << n))
+    sizes = Counter()
+    for masks, full in instances:
+        for target in (full, _sample_mask(rng, full, 1, full.bit_count())):
+            found = _min_cover(masks, target)
+            assert found == oracles.min_cover_by_index_dfs(masks, target), (masks, target)
+            sizes[len(found)] += 1
+    assert set(range(1, 10)) <= sizes.keys(), sizes
 
 
 @pytest.mark.parametrize("n", [2, 3])
