@@ -284,17 +284,6 @@ class ClassicalTopology(Value):
             for x in range(self.universe_size)
         )
 
-    def inside(self, s: int) -> int:
-        """The union of the opens inside the mask s, its interior: the
-        union of the U(x) inside s, since U(x) lies inside every open
-        around x."""
-        out = 0
-        for at_x in self.minimal_members:
-            for u in at_x:
-                if not u & ~s:
-                    out |= u
-        return out
-
 
 def _from_masks(n: int, carrier: FinSet, masks: set[int]) -> ClassicalTopology:
     """The topology on the carrier whose opens are the masks, unchecked,
@@ -371,9 +360,8 @@ class BitopPair(Value):
     Each family is a validated `ClassicalTopology` or, for the pair a soft
     bitopological space induces, an `SEFamily` over soft-element indices,
     which is union-closed but not a topology in general.  The deciders
-    below are exact for both kinds and read two things: `minimal_members`,
-    the inclusion-minimal members around each point, and, for T2 of the
-    second family, `inside(s)`, the union of the members inside the mask s.
+    below are exact for both kinds and read one thing of each family:
+    `minimal_members`, the inclusion-minimal members around each point.
     """
 
     first: ClassicalTopology | SEFamily
@@ -421,13 +409,11 @@ def _least_repeat(keys: Iterable) -> Witness:
 # Every member around x holds a minimal one, so some member holds x and
 # misses y iff y is not in core(x); and x, y are unseparated in a family
 # iff core(x) = core(y), as each point lies in its own core.  Disjoint
-# members H around x and K around y exist iff they exist with H minimal,
-# as shrinking H keeps it disjoint from K, and then iff y lies in
-# inside(full - U) of the second family for some minimal U at x, the
-# complement taken in the universe, as members need not stay in the
-# carrier.  Only finiteness is used, so the verdicts are exact for any
-# finite families.  Points are scanned as by a brute-force scan, so the
-# least witness is the same.
+# members H around x and K around y exist iff some minimal U at x in the
+# first family misses some minimal V at y in the second: shrinking H to
+# such a U and K to such a V keeps them disjoint.  Only finiteness is
+# used, so the verdicts are exact for any finite families.  Points are
+# scanned as by a brute-force scan, so the least witness is the same.
 
 
 def pairwise_t0(pair: BitopPair) -> tuple[bool, Witness]:
@@ -465,19 +451,23 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
     """For every ordered (x, y): disjoint opens H in the first and K in the
     second topology with x in H, y in K.
 
-    Decided as: y lies in inside(full - U) of the second family for some
-    minimal member U of the first family at x.  The points so reached from
-    x are found once per x.  Exact for any finite families.
+    Decided as: some minimal member at x of the first family misses some
+    minimal member at y of the second.  Exact for any finite families.
     """
     pts = pair.carrier.members()
-    full = _full(pair.universe_size)
-    second = pair.second
+    first, second = pair.first.minimal_members, pair.second.minimal_members
     for x in pts:
-        reach = 0
-        for u in pair.first.minimal_members[x]:
-            reach |= second.inside(full & ~u)
         for y in pts:
-            if x != y and not reach >> y & 1:
+            if x == y:
+                continue
+            for u in first[x]:
+                for v in second[y]:
+                    if not u & v:
+                        break
+                else:
+                    continue
+                break  # u misses v
+            else:
                 return False, (x, y)
     return True, None
 

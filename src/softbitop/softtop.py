@@ -325,9 +325,9 @@ class SEFamily(Value):
 
     The induced families are of this type.  Such a family is union-closed
     but not a topology in general, so it does not pose as a
-    `ClassicalTopology`.  It offers the two reads the pairwise deciders of
-    `finsets` need, `minimal_members` and `inside`, both from one table over
-    all subsets of the soft elements.
+    `ClassicalTopology`.  It offers the one read the pairwise deciders of
+    `finsets` need, `minimal_members`; that and `union_closed` read one
+    table over all subsets of the soft elements (`_packed`).
     """
 
     space: ElementSpace
@@ -368,6 +368,7 @@ class SEFamily(Value):
         subset lattice: one pass per soft element i adds cell S - {i} into
         cell S, so cell S ends as the union of the members inside S.  The
         table has 2^size cells, so it is refused past SE_FILTRATION_LIMIT.
+        Read by `minimal_members` and `union_closed`.
         """
         size = self.space.size
         check_filtration_guard(size)
@@ -378,15 +379,6 @@ class SEFamily(Value):
         for i in range(size):
             table |= _shift_up(table, size, i)
         return members, table
-
-    @cached_property
-    def table(self) -> array:
-        """table[S] is the union of the members inside the subset S."""
-        return _cells(self._packed[1], self.space.size)
-
-    def inside(self, s: int) -> int:
-        """The union of the members inside the subset mask s."""
-        return self.table[s]
 
     @cached_property
     def minimal_members(self) -> tuple[tuple[int, ...], ...]:
@@ -407,7 +399,8 @@ class SEFamily(Value):
         own = _cells(members & ~strict, size)
         out: list[list[int]] = [[] for _ in range(size)]
         mins = compress(range(len(own)), own)
-        for m in sorted(mins, key=lambda m: (m.bit_count(), m)):
+        # mins ascend, and the sort is stable: (size, mask) order.
+        for m in sorted(mins, key=int.bit_count):
             bits = own[m]
             while bits:
                 out[(bits & -bits).bit_length() - 1].append(m)
@@ -431,12 +424,15 @@ class SEFamily(Value):
         """Holds the empty and the full subset and is closed under unions.
 
         Given the empty subset, closure under unions is the same as
-        holding every table entry: each entry is a union of members, and
-        the union a | b of members is the entry at a | b.
+        holding every entry of the subset table (`_packed`): each entry is
+        a union of members, and the union a | b of members is the entry at
+        a | b.
         """
-        full = (1 << self.space.size) - 1
-        members = self._mask_set
-        return 0 in members and full in members and members.issuperset(self.table)
+        size = self.space.size
+        full, members = (1 << size) - 1, self._mask_set
+        return 0 in members and full in members and members.issuperset(
+            _cells(self._packed[1], size)
+        )
 
     def __len__(self) -> int:
         return len(self.masks)

@@ -368,8 +368,8 @@ def pairwise_t2(pair: BitopPair) -> tuple[bool, Witness]:
 class FamilyView:
     """Any finite family over point indices on a carrier, shaped like a
     ClassicalTopology for the brute-force deciders above; its members may
-    leave the carrier.  It also answers the two reads of the library's
-    deciders, `minimal_members` and `inside`, by scanning its members."""
+    leave the carrier.  It also answers the one read of the library's
+    deciders, `minimal_members`, by scanning its members."""
 
     universe_size: int
     carrier: FinSet
@@ -378,14 +378,6 @@ class FamilyView:
     @property
     def open_masks(self) -> tuple[int, ...]:
         return tuple(o.mask for o in self.opens)
-
-    def inside(self, s: int) -> int:
-        """The union of the members inside the mask s."""
-        out = 0
-        for m in self.open_masks:
-            if not m & ~s:
-                out |= m
-        return out
 
     @cached_property
     def minimal_members(self) -> tuple[tuple[int, ...], ...]:

@@ -201,6 +201,22 @@ def test_classical_deciders_on_induced_pairs_of_random_carriers():
     assert verdicts[True] and verdicts[False], verdicts
 
 
+def test_classical_deciders_on_induced_pairs_of_the_3x2_sample():
+    """A seeded part of `sampled_3x2_pool_pairs`, in both orders: induced
+    families on 9 soft elements, past the 8 of the test above, where
+    points have up to 11 minimal members.  On the full 3 x 2 carrier every
+    induced pair is T2, so T2 must find a disjoint pair among them; the
+    failing side is left to the random carriers above."""
+    pool = candidate_soft_topologies(3, 2)
+    pairs = rng_for("induced-pairs-3x2").sample(sampled_3x2_pool_pairs(pool), 40)
+    induced = {k: induced_topology(pool[k]) for k in set(chain(*pairs))}
+    for i, j in pairs:
+        assert_family_agree(induced[i], induced[j])
+        assert_family_agree(induced[j], induced[i])
+    most = max(len(at_x) for f in induced.values() for at_x in f.minimal_members)
+    assert most == 11, most
+
+
 @pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
 def test_soft_deciders_on_all_pool_pairs(n, p):
     pool = candidate_soft_topologies(n, p)
@@ -815,7 +831,8 @@ def test_projection_check_on_arbitrary_families(instance):
 
 
 def induced_by_table(space):
-    """T0/T1/T2 of the induced pair, decided on its subset tables."""
+    """T0/T1/T2 of the induced pair, decided on the minimal members its
+    families read from their subset tables."""
     pair = induced_bitop(space)
     return tuple(decide(pair)[0] for decide in (pairwise_t0, pairwise_t1, pairwise_t2))
 

@@ -13,6 +13,7 @@ from softbitop import (
     FinSet,
     InputError,
     NotACoverError,
+    SEFamily,
     SoftBitopSpace,
     SoftCover,
     SoftSet,
@@ -549,6 +550,33 @@ def test_verify_theorems_fails_the_enlargement_row_on_a_dropped_open(
     tau = softtop.canonical_topology(ambient, sigmas)
     assert len(tau) == 4**ambient.param_count - 1
     assert row in failed(tau)
+
+
+def test_verify_theorems_fails_union_closure_on_a_dropped_union(monkeypatch):
+    """The union-closure row reads each induced family's subset table.  On
+    3 points x 1 parameter, discrete against indiscrete, with
+    induced_topology dropping the member 0b011, the union of 0b001 and
+    0b010, that row fails and every other row is as it was."""
+    row = "induced-families-union-closed"
+    ambient = SoftSet.of([[0, 1, 2]], 3)
+
+    def checks():
+        tau1, tau2 = soft_discrete(ambient), soft_indiscrete(ambient)
+        report = verify_theorems(SoftBitopSpace(ambient, tau1, tau2))
+        return {c.name: c for c in report.checks}
+
+    before = checks()
+    assert len(before) == 21 and before.pop(row).passed
+    induce = softtop.induced_topology
+
+    def dropping(tau):
+        family = induce(tau)
+        return SEFamily(family.space, tuple(m for m in family.masks if m != 0b011))
+
+    monkeypatch.setattr(softtop, "induced_topology", dropping)
+    after = checks()
+    assert not after.pop(row).passed
+    assert after == before
 
 
 # ---------------------------------------------------------------- search

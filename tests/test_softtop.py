@@ -415,9 +415,12 @@ def test_union_closed_needs_empty_full_and_every_union():
 
 
 def test_family_table_is_guarded():
+    """Both reads of the subset table refuse a family past the guard."""
     space = ElementSpace(SoftSet.of([range(21)], 21))
     with pytest.raises(CapacityError):
-        SEFamily(space, (0,)).inside(0)
+        SEFamily(space, (0,)).minimal_members
+    with pytest.raises(CapacityError):
+        SEFamily(space, (0, (1 << 21) - 1)).union_closed()
 
 
 def test_least_opens_are_least():
